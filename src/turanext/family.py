@@ -141,7 +141,8 @@ def biex(n: int, h: Graph, family: DecompositionFamily | None = None) -> BiexRes
         witness = complete_graph(n)
     else:
         level = free_graph_classes(n, cores)[n]
-        witness = max(level, key=lambda g: (g.edge_count(), canonical_form(g)))
+        top = max(g.edge_count() for g in level)
+        witness = max((g for g in level if g.edge_count() == top), key=canonical_form)
     if not is_family_free(witness, fam):
         raise InternalCheckError("excess witness fails the family-freeness recheck")
     return BiexResult(n=n, value=witness.edge_count(), witness=witness, exhaustive=True)

@@ -8,6 +8,16 @@ Alongside the representation this module provides the generators used
 throughout (Turan graphs, complete multipartite graphs, blowups), exact
 chromatic numbers and proper-partition enumeration at small sizes, a
 self-contained canonical form for isomorphism testing, and graph6 I/O.
+
+The canonical form is the least leaf certificate of an individualization-
+refinement tree.  Automorphisms found at equal leaves prune the tree as in
+McKay and Piperno, "Practical graph isomorphism, II" (J. Symb. Comput. 60,
+2014) and Hartke and Radcliffe, "McKay's canonical graph labeling algorithm"
+(2009): only one child per orbit of the prefix's pointwise stabilizer is
+searched, and a branch that an automorphism maps onto a searched one is
+left at once.  The pruned branches hold the same certificates as the kept
+ones, so the bytes are those of the full tree, and graphs with large
+automorphism groups (Turan graphs, disjoint unions of cycles) label quickly.
 """
 
 from __future__ import annotations
@@ -453,15 +463,86 @@ def _leaf_bytes(adj: tuple[int, ...], labeling: list[int]) -> bytes:
     return bytes(buf)
 
 
+def _find(parent: list[int], v: int) -> int:
+    """Root of v in a union-find forest, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _join_cycles(parent: list[int], cell: int, gamma: list[int]) -> None:
+    """Merge the orbits of ``cell`` that ``gamma`` links, keeping least roots."""
+    for v in _bits(cell):
+        a, b = _find(parent, v), _find(parent, gamma[v])
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+
+
 def _canonical_search(adj: tuple[int, ...], n: int) -> tuple[bytes, list[int]]:
-    best: list[tuple[bytes, list[int]] | None] = [None]
+    """Least leaf certificate of the search tree, with the first labeling reaching it.
 
-    def emit(labeling: list[int]) -> None:
-        cand = _leaf_bytes(adj, labeling)
-        if best[0] is None or cand < best[0][0]:
-            best[0] = (cand, labeling)
+    A tree node is an ordered partition refined by ``_refine``.  Its children
+    individualize each vertex of its first non-singleton cell in turn, and a
+    discrete or homogeneous partition is a leaf whose cell order labels the
+    graph.  The certificate of a leaf is its ``_leaf_bytes``.
 
-    def descend(cells: list[int]) -> None:
+    Automorphisms prune the tree (McKay and Piperno, "Practical graph
+    isomorphism, II", J. Symb. Comput. 60, 2014; Hartke and Radcliffe,
+    "McKay's canonical graph labeling algorithm", 2009).  A leaf whose
+    certificate equals the best one yields gamma: best[i] -> labeling[i], an
+    automorphism because both labelings give the same relabeled adjacency
+    matrix.  Refinement is label-equivariant and never moves an
+    individualized vertex from its position, so gamma maps the best leaf's
+    individualization sequence onto the current one term by term.  Hence:
+
+    * at the node where the two sequences part, gamma maps the child on
+      the best leaf's path, whose subtree is already searched, onto the
+      current child, so the search leaves the current child at once;
+    * a node individualizes only the least vertex of each orbit of its
+      target cell under the recorded automorphisms that fix its
+      individualized prefix pointwise, since such an automorphism carries
+      the subtree of v onto the subtree of its image.
+
+    A homogeneous leaf gives the same bytes for every order within its
+    cells, so it is equivariant too.  An image of a subtree holds the same
+    certificates, so neither rule changes the least one: the bytes are those
+    of the full tree.
+    """
+    best_cert = b""
+    best_labeling: list[int] = []
+    best_path: list[int] = []
+    path: list[int] = []
+    gens: list[tuple[list[int], int]] = []  # (gamma, mask of its fixed points)
+    orbits: list[tuple[list[int], int] | None] = []  # open node's union-find and cell
+
+    def leaf(labeling: list[int]) -> int:
+        """Depth to resume at: this leaf's parent's, or the node to jump back to."""
+        nonlocal best_cert, best_labeling, best_path
+        cert = _leaf_bytes(adj, labeling)
+        if not best_labeling or cert < best_cert:
+            best_cert, best_labeling, best_path = cert, labeling, path[:]
+            return len(path)
+        if cert > best_cert:
+            return len(path)
+        gamma = [0] * n
+        for u, v in zip(best_labeling, labeling):
+            gamma[u] = v
+        fixed = 0
+        for v in range(n):
+            if gamma[v] == v:
+                fixed |= 1 << v
+        gens.append((gamma, fixed))
+        depth = 0
+        while path[depth] == best_path[depth]:
+            depth += 1
+        for node in orbits[: depth + 1]:
+            if node is not None:
+                _join_cycles(node[0], node[1], gamma)
+        return depth
+
+    def descend(cells: list[int]) -> int:
+        """Search below ``cells``; return the depth to resume at."""
         cells = _refine(adj, cells)
         target = -1
         for idx, cell in enumerate(cells):
@@ -469,24 +550,42 @@ def _canonical_search(adj: tuple[int, ...], n: int) -> tuple[bytes, list[int]]:
                 target = idx
                 break
         if target < 0:
-            emit([c.bit_length() - 1 for c in cells])
-            return
+            return leaf([c.bit_length() - 1 for c in cells])
         if _is_homogeneous(adj, cells):
             labeling: list[int] = []
             for cell in cells:
                 labeling.extend(_bits(cell))
-            emit(labeling)
-            return
+            return leaf(labeling)
+        depth = len(path)
         cell = cells[target]
-        for v in _bits(cell):
-            branched = (
+        parent: list[int] = []
+        orbits.append(None)
+        back = depth
+        for i, v in enumerate(_bits(cell)):
+            if i == 1:
+                # Orbits are needed from the second child on.
+                parent = list(range(n))
+                prefix = 0
+                for u in path:
+                    prefix |= 1 << u
+                for gamma, fixed in gens:
+                    if not prefix & ~fixed:
+                        _join_cycles(parent, cell, gamma)
+                orbits[depth] = (parent, cell)
+            if i and _find(parent, v) != v:
+                continue
+            path.append(v)
+            back = descend(
                 cells[:target] + [1 << v, cell ^ (1 << v)] + cells[target + 1 :]
             )
-            descend(branched)
+            path.pop()
+            if back < depth:
+                break
+        orbits.pop()
+        return min(back, depth)
 
     descend([(1 << n) - 1])
-    assert best[0] is not None
-    return best[0]
+    return best_cert, best_labeling
 
 
 def canonical_form(graph: Graph) -> CanonicalForm:

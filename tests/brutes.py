@@ -2,7 +2,9 @@
 
 Everything here works by direct enumeration (permutations, vertex subsets,
 edge-set bitmasks) with no shared logic with the package's counting or
-search kernels beyond the Graph container itself.
+search kernels beyond the Graph container itself.  The canonical labeling
+oracle is a frozen copy of the package's original, unpruned search, kept
+self-contained so the pruned search can be checked byte for byte.
 """
 
 from __future__ import annotations
@@ -105,3 +107,76 @@ def random_permutation(rng: random.Random, n: int) -> list[int]:
     perm = list(range(n))
     rng.shuffle(perm)
     return perm
+
+
+def _oracle_bits(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+
+
+def _oracle_refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+    while True:
+        out: list[int] = []
+        for cell in cells:
+            groups: dict[tuple[int, ...], int] = {}
+            for v in _oracle_bits(cell):
+                sig = tuple((adj[v] & c).bit_count() for c in cells)
+                groups[sig] = groups.get(sig, 0) | (1 << v)
+            out.extend(groups[sig] for sig in sorted(groups, reverse=True))
+        if len(out) == len(cells):
+            return cells
+        cells = out
+
+
+def _oracle_homogeneous(adj: tuple[int, ...], cells: list[int]) -> bool:
+    for ci in cells:
+        for cj in cells:
+            links = sum((adj[v] & cj).bit_count() for v in _oracle_bits(ci))
+            full = ci.bit_count() * cj.bit_count() - (ci.bit_count() if ci == cj else 0)
+            if links not in (0, full):
+                return False
+    return True
+
+
+def _oracle_leaf(adj: tuple[int, ...], labeling: list[int]) -> bytes:
+    bits = [
+        (adj[labeling[j]] >> labeling[i]) & 1
+        for j in range(1, len(labeling))
+        for i in range(j)
+    ]
+    bits += [0] * (-len(bits) % 8)
+    return bytes(
+        int("".join(map(str, bits[k : k + 8])), 2) for k in range(0, len(bits), 8)
+    )
+
+
+def canonical_brute(g: Graph) -> tuple[bytes, Graph]:
+    """Canonical form and canonical graph from the whole search tree.
+
+    The tree is the package's: equitable refinement with cells split by
+    their neighbor-count signatures in decreasing order, individualization
+    of each vertex of the first non-singleton cell, and leaves at discrete
+    or homogeneous partitions.  Every branch is explored; the least leaf
+    certificate wins, and its first labeling gives the canonical graph.
+    """
+    if g.n == 0:
+        return b"\x00", g
+    best: list[tuple[bytes, list[int]]] = []
+
+    def descend(cells: list[int]) -> None:
+        cells = _oracle_refine(g.adj, cells)
+        split = [i for i, c in enumerate(cells) if c.bit_count() > 1]
+        if not split or _oracle_homogeneous(g.adj, cells):
+            labeling = [v for c in cells for v in _oracle_bits(c)]
+            cert = _oracle_leaf(g.adj, labeling)
+            if not best or cert < best[0][0]:
+                best[:] = [(cert, labeling)]
+            return
+        t = split[0]
+        for v in _oracle_bits(cells[t]):
+            descend(cells[:t] + [1 << v, cells[t] ^ (1 << v)] + cells[t + 1 :])
+
+    descend([(1 << g.n) - 1])
+    cert, labeling = best[0]
+    position = {v: i for i, v in enumerate(labeling)}
+    edges = [(position[u], position[v]) for u, v in g.edges()]
+    return bytes([g.n]) + cert, graph_from_edges(g.n, edges)

@@ -259,6 +259,16 @@ def test_search_cap_maps_to_exit_3(capsys):
     assert code == 3
 
 
+def test_exsearch_local_labels_symmetric_witness(capsys):
+    # The witness is T(32, 3), whose unpruned search tree is factorial in size.
+    code, out, _ = run_cli(
+        capsys, "exsearch", "mode=local", "n=32", "T=K3", "H=K4", "iterations=2"
+    )
+    assert code == 0
+    (row,) = parse_csv(out)[1]
+    assert row["best"] == "1210"
+
+
 def test_exsearch_multipartite_mode_is_redirected(capsys):
     code, _, err = run_cli(
         capsys, "exsearch", "n=6", "T=K3", "H=K4", "mode=multipartite"

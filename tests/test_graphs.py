@@ -218,6 +218,80 @@ def test_canonical_graph_idempotent(g):
     assert canonical_graph(c) == c
 
 
+def _disjoint_union(*parts: Graph) -> Graph:
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges()]
+        offset += part.n
+    return graph_from_edges(offset, edges)
+
+
+def _assert_matches_oracle(g: Graph) -> None:
+    assert (canonical_form(g), canonical_graph(g)) == brutes.canonical_brute(g)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_canonical_labeling_matches_unpruned_oracle_on_all_graphs(n):
+    for g in brutes.all_graphs(n):
+        _assert_matches_oracle(g)
+
+
+C4, C5, K3 = cycle_graph(4), cycle_graph(5), complete_graph(3)
+SYMMETRIC_CORPUS = {
+    "T(8,3)": turan_graph(8, 3),
+    "T(11,3)": turan_graph(11, 3),
+    "T(13,4)": turan_graph(13, 4),
+    "T(14,3)": turan_graph(14, 3),
+    "K_{5,5}": turan_graph(10, 2),
+    "2C5": _disjoint_union(C5, C5),
+    "3K3": _disjoint_union(K3, K3, K3),
+    "C8": cycle_graph(8),
+    "C12": cycle_graph(12),
+    "C15": cycle_graph(15),
+    "C5[2]": blowup(C5, 2),
+    "C5[3]": blowup(C5, 3),
+    "C7[2]": blowup(cycle_graph(7), 2),
+    "C4[3]": blowup(C4, 3),
+    "K3[3]": blowup(K3, 3),
+    # Regular, so refinement leaves cells that hold several orbits.
+    "2C4+K3": _disjoint_union(C4, C4, K3),
+    "C3+C4+C5": _disjoint_union(K3, C4, C5),
+    "K4+K_{3,3}": _disjoint_union(complete_graph(4), turan_graph(6, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_CORPUS))
+def test_canonical_labeling_matches_unpruned_oracle_on_symmetric_graphs(name):
+    g = SYMMETRIC_CORPUS[name]
+    rng = random.Random(name)
+    _assert_matches_oracle(g)
+    for _ in range(6):
+        _assert_matches_oracle(relabel(g, brutes.random_permutation(rng, g.n)))
+
+
+@settings(max_examples=100)
+@given(small_graphs(max_n=9))
+def test_canonical_labeling_matches_unpruned_oracle_on_drawn_graphs(g):
+    _assert_matches_oracle(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        turan_graph(32, 3),
+        _disjoint_union(*[C5] * 4),
+        _disjoint_union(*[K3] * 5),
+    ],
+    ids=["T(32,3)", "4C5", "5K3"],
+)
+def test_canonical_labeling_handles_large_automorphism_groups(g):
+    # The unpruned search tree of each graph grows factorially with its size.
+    rng = random.Random(g.n)
+    h = relabel(g, brutes.random_permutation(rng, g.n))
+    assert canonical_form(h) == canonical_form(g)
+    assert canonical_graph(h) == canonical_graph(g)
+
+
 def test_isomorphism_spot_pairs():
     assert is_isomorphic(complete_multipartite((2, 2)), cycle_graph(4))
     assert is_isomorphic(turan_graph(4, 2), cycle_graph(4))
