@@ -2,10 +2,22 @@
 
 A *copy* of a pattern T in a host G is a subgraph of G isomorphic to T
 (not necessarily induced).  We count labeled embeddings -- injective maps
-preserving edges -- by backtracking over a degree-aware vertex order, then
-divide by the pattern's automorphism count.  The division must be exact;
-a nonzero remainder means the embedding count itself is wrong, so it is
-promoted to an internal error rather than silently truncated.
+preserving edges -- and divide by the pattern's automorphism count.  The
+division must be exact; a nonzero remainder means the embedding count
+itself is wrong, so it is promoted to an internal error rather than
+silently truncated.
+
+One kernel serves every count and every existence test.  ``_plan`` orders
+the pattern vertices greedily (each new vertex sees as many placed
+neighbours as possible), starting from an optional prefix; ``_embed``
+backtracks along that order, pins the prefix to given host vertices, and
+stops once it has found ``limit`` embeddings.  Existence is counting with a
+limit of 1, and the through-vertex and through-edge variants sum the kernel
+over every root or every ordered pattern edge as prefix.  The candidates
+for a vertex are the unused host vertices adjacent to the images of all its
+placed neighbours, so every pattern edge is checked when its later endpoint
+is placed; no degree filter is needed for correctness, and on the dense
+hosts where counting is costly it prunes nothing.
 
 All counts are Python ints and therefore exact at every size we accept.
 """
@@ -32,10 +44,6 @@ class Pattern:
         self._aut: int | None = None
 
     @property
-    def min_vertices(self) -> int:
-        return self.graph.n
-
-    @property
     def aut_count(self) -> int:
         if self._aut is None:
             self._aut = count_embeddings(self.graph, self.graph)
@@ -49,26 +57,27 @@ def as_pattern(obj: Graph | Pattern) -> Pattern:
     return obj if isinstance(obj, Pattern) else Pattern(obj)
 
 
-def _embedding_plan(t: Graph, first: int | None = None) -> list[int]:
+def _plan(t: Graph, prefix: tuple[int, ...] = ()) -> list[int]:
     """Vertex order for backtracking: each new vertex sees many placed neighbors.
 
-    Starts from ``first`` if given, else from a maximum-degree vertex; then
+    Starts with ``prefix`` if given, else with a maximum-degree vertex; then
     greedily picks the vertex with the most already-placed neighbors (ties:
     higher degree, then lower index).  On connected patterns every vertex
     after the first has a placed neighbor, so candidate sets stay small.
     """
     n = t.n
-    if first is None:
-        first = max(range(n), key=lambda v: (t.degree(v), -v))
-    order = [first]
-    placed = 1 << first
+    adj = t.adj
+    order = list(prefix) or [max(range(n), key=lambda v: (adj[v].bit_count(), -v))]
+    placed = 0
+    for v in order:
+        placed |= 1 << v
     while len(order) < n:
         best = -1
         best_key = (-1, -1, 0)
         for v in range(n):
             if (placed >> v) & 1:
                 continue
-            key = ((t.adj[v] & placed).bit_count(), t.degree(v), -v)
+            key = ((adj[v] & placed).bit_count(), adj[v].bit_count(), -v)
             if key > best_key:
                 best_key = key
                 best = v
@@ -77,139 +86,73 @@ def _embedding_plan(t: Graph, first: int | None = None) -> list[int]:
     return order
 
 
-def _count_from_plan(
-    g: Graph, t: Graph, order: list[int], pinned: dict[int, int] | None = None
+def _embed(
+    g: Graph,
+    t: Graph,
+    prefix: tuple[int, ...] = (),
+    pinned: tuple[int, ...] = (),
+    limit: int = 0,
 ) -> int:
-    """Count injective edge-preserving maps t -> g along ``order``.
+    """Count injective edge-preserving maps t -> g sending prefix[i] to pinned[i].
 
-    ``pinned`` forces pattern vertices to specific host vertices; pinned
-    vertices must form a prefix of ``order``.
+    With ``limit`` > 0 the search stops once it has found at least ``limit``
+    embeddings and returns a count of at least ``limit``.
     """
     n = t.n
+    if n > g.n:
+        return 0
+    order = _plan(t, prefix)
     pos = {v: i for i, v in enumerate(order)}
-    back: list[list[int]] = []
-    for i, v in enumerate(order):
-        back.append([pos[u] for u in _bits(t.adj[v]) if pos[u] < i])
-
-    gn = g.n
-    gdeg = g.degrees()
-    degmask = []
-    for v in order:
-        dv = t.degree(v)
-        mask = 0
-        for u in range(gn):
-            if gdeg[u] >= dv:
-                mask |= 1 << u
-        degmask.append(mask)
-
-    npin = len(pinned) if pinned else 0
-    image = [0] * n
-    used0 = 0
-    if pinned:
-        for i in range(npin):
-            v = order[i]
-            if v not in pinned:
-                raise ValueError("pinned vertices must prefix the plan")
-            host = pinned[v]
-            if (used0 >> host) & 1:
-                return 0
-            if gdeg[host] < t.degree(v):
-                return 0
-            for j in back[i]:
-                if not (g.adj[image[j]] >> host) & 1:
-                    return 0
-            image[i] = host
-            used0 |= 1 << host
-
+    back = [
+        [pos[u] for u in _bits(t.adj[v]) if pos[u] < i] for i, v in enumerate(order)
+    ]
     gadj = g.adj
-
-    def rec(i: int, used: int) -> int:
-        cand = degmask[i] & ~used
+    # image[i] is the host neighborhood row of the vertex that order[i] maps to
+    image = [0] * n
+    avail = (1 << g.n) - 1
+    for i, host in enumerate(pinned):
+        if not (avail >> host) & 1:
+            return 0
         for j in back[i]:
-            cand &= gadj[image[j]]
+            if not (image[j] >> host) & 1:
+                return 0
+        image[i] = gadj[host]
+        avail ^= 1 << host
+    npin = len(pinned)
+    if npin == n:
+        return 1
+    last = n - 1
+    # no count reaches g.n ** n, so without a limit the search never stops early
+    stop = limit if limit > 0 else g.n**n + 1
+
+    def rec(i: int, avail: int) -> int:
+        cand = avail
+        for j in back[i]:
+            cand &= image[j]
             if not cand:
                 return 0
-        if i == n - 1:
+        if i == last:
             return cand.bit_count()
         total = 0
         while cand:
             low = cand & -cand
             cand ^= low
-            image[i] = low.bit_length() - 1
-            total += rec(i + 1, used | low)
+            image[i] = gadj[low.bit_length() - 1]
+            total += rec(i + 1, avail ^ low)
+            if total >= stop:
+                break
         return total
 
-    if npin == n:
-        return 1
-    return rec(npin, used0)
+    return rec(npin, avail)
 
 
 def count_embeddings(g: Graph, t: Graph | Pattern) -> int:
     """Number of injective maps V(t) -> V(g) sending edges to edges."""
-    t = as_pattern(t).graph
-    if t.n > g.n:
-        return 0
-    return _count_from_plan(g, t, _embedding_plan(t))
+    return _embed(g, as_pattern(t).graph)
 
 
 def exists_embedding(g: Graph, t: Graph | Pattern) -> bool:
-    t = as_pattern(t).graph
-    if t.n > g.n:
-        return False
-    return _exists_from_plan(g, t, _embedding_plan(t))
-
-
-def _exists_from_plan(
-    g: Graph, t: Graph, order: list[int], pinned: dict[int, int] | None = None
-) -> bool:
-    n = t.n
-    pos = {v: i for i, v in enumerate(order)}
-    back: list[list[int]] = []
-    for i, v in enumerate(order):
-        back.append([pos[u] for u in _bits(t.adj[v]) if pos[u] < i])
-    gdeg = g.degrees()
-    degmask = []
-    for v in order:
-        dv = t.degree(v)
-        mask = 0
-        for u in range(g.n):
-            if gdeg[u] >= dv:
-                mask |= 1 << u
-        degmask.append(mask)
-
-    npin = len(pinned) if pinned else 0
-    image = [0] * n
-    used0 = 0
-    if pinned:
-        for i in range(npin):
-            v = order[i]
-            host = pinned[v]
-            if (used0 >> host) & 1 or gdeg[host] < t.degree(v):
-                return False
-            for j in back[i]:
-                if not (g.adj[image[j]] >> host) & 1:
-                    return False
-            image[i] = host
-            used0 |= 1 << host
-    gadj = g.adj
-
-    def rec(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        cand = degmask[i] & ~used
-        for j in back[i]:
-            cand &= gadj[image[j]]
-            if not cand:
-                return False
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            image[i] = low.bit_length() - 1
-            if rec(i + 1, used | low):
-                return True
-        return False
-
-    return rec(npin, used0)
+    return _embed(g, as_pattern(t).graph, limit=1) > 0
 
 
 def count_copies(g: Graph, t: Graph | Pattern) -> int:
@@ -228,80 +171,51 @@ def automorphism_count(t: Graph) -> int:
     return as_pattern(t).aut_count
 
 
-def embeddings_through_vertex(g: Graph, v: int, t: Graph | Pattern) -> int:
-    """Embeddings of the pattern whose image contains host vertex v."""
+def _through_vertex(g: Graph, v: int, t: Graph | Pattern, limit: int) -> int:
+    """Sum of the kernel over every pattern root pinned to host vertex v."""
     t = as_pattern(t).graph
+    if not 0 <= v < g.n:
+        raise ValueError("v is not a vertex of the host")
     if t.n > g.n:
         return 0
     total = 0
     for root in range(t.n):
-        order = _embedding_plan(t, first=root)
-        total += _count_from_plan(g, t, order, pinned={root: v})
+        total += _embed(g, t, (root,), (v,), limit)
+        if limit and total >= limit:
+            return total
     return total
 
 
+def embeddings_through_vertex(g: Graph, v: int, t: Graph | Pattern) -> int:
+    """Embeddings of the pattern whose image contains host vertex v."""
+    return _through_vertex(g, v, t, 0)
+
+
 def exists_embedding_through_vertex(g: Graph, v: int, t: Graph | Pattern) -> bool:
+    return _through_vertex(g, v, t, 1) > 0
+
+
+def _through_edge(g: Graph, u: int, v: int, t: Graph | Pattern, limit: int) -> int:
+    """Sum of the kernel over every ordered pattern edge pinned to (u, v)."""
     t = as_pattern(t).graph
-    if t.n > g.n:
-        return False
-    for root in range(t.n):
-        order = _embedding_plan(t, first=root)
-        if _exists_from_plan(g, t, order, pinned={root: v}):
-            return True
-    return False
-
-
-def _ordered_pattern_edges(t: Graph) -> list[tuple[int, int]]:
-    out = []
+    if not g.has_edge(u, v):
+        raise ValueError("uv is not an edge of the host")
+    total = 0
     for x, y in t.edges():
-        out.append((x, y))
-        out.append((y, x))
-    return out
-
-
-def _plan_from_edge(t: Graph, x: int, y: int) -> list[int]:
-    """Plan that places pattern vertices x then y first."""
-    n = t.n
-    order = [x, y]
-    placed = (1 << x) | (1 << y)
-    while len(order) < n:
-        best = -1
-        best_key = (-1, -1, 0)
-        for v in range(n):
-            if (placed >> v) & 1:
-                continue
-            key = ((t.adj[v] & placed).bit_count(), t.degree(v), -v)
-            if key > best_key:
-                best_key = key
-                best = v
-        order.append(best)
-        placed |= 1 << best
-    return order
+        for prefix in ((x, y), (y, x)):
+            total += _embed(g, t, prefix, (u, v), limit)
+            if limit and total >= limit:
+                return total
+    return total
 
 
 def embeddings_through_edge(g: Graph, u: int, v: int, t: Graph | Pattern) -> int:
     """Embeddings whose image uses the host edge uv (in either orientation)."""
-    t = as_pattern(t).graph
-    if not g.has_edge(u, v):
-        raise ValueError("uv is not an edge of the host")
-    if t.n > g.n:
-        return 0
-    total = 0
-    for x, y in _ordered_pattern_edges(t):
-        order = _plan_from_edge(t, x, y)
-        total += _count_from_plan(g, t, order, pinned={x: u, y: v})
-    return total
+    return _through_edge(g, u, v, t, 0)
 
 
 def exists_embedding_through_edge(g: Graph, u: int, v: int, t: Graph | Pattern) -> bool:
-    t = as_pattern(t).graph
-    if t.n > g.n:
-        return False
-    for x, y in _ordered_pattern_edges(t):
-        order = _plan_from_edge(t, x, y)
-        if _exists_from_plan(g, t, order, pinned={x: u, y: v}):
-            return True
-    return False
+    return _through_edge(g, u, v, t, 1) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,14 @@ class Graph:
         self.n = n
         self.adj = rows
 
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> Graph:
+        """Wrap rows the caller knows are valid (in range, loopless, symmetric)."""
+        g = object.__new__(cls)
+        g.n = n
+        g.adj = rows
+        return g
+
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 

@@ -92,7 +92,6 @@ def _extend_one(
     pidx: int,
     complete_sizes: list[int],
     generic: list[Pattern],
-    min_forbidden: int,
 ) -> list[tuple[bytes, int, int, Graph]]:
     """All free extensions of one parent; (form, parent index, mask, child)."""
     k = parent.n
@@ -104,14 +103,11 @@ def _extend_one(
     for mask in range(1 << k):
         if any(c & mask == c for c in critical):
             continue
-        child = object.__new__(Graph)
-        child.n = k + 1
-        child.adj = tuple(
+        grown = tuple(
             row | (1 << k) if (mask >> v) & 1 else row for v, row in enumerate(rows)
-        ) + (mask,)
-        if k + 1 >= min_forbidden and any(
-            exists_embedding_through_vertex(child, k, t) for t in generic
-        ):
+        )
+        child = Graph._trusted(k + 1, grown + (mask,))
+        if any(exists_embedding_through_vertex(child, k, t) for t in generic):
             continue
         out.append((canonical_form(child), pidx, mask, child))
     return out
@@ -146,7 +142,6 @@ def free_graph_classes(
     levels = _CLASS_CACHE.setdefault(key, [[empty_graph(0)]])
     complete_sizes = [p.graph.n for p in pats if _is_complete(p.graph) and p.graph.n >= 2]
     generic = [p for p in pats if not (_is_complete(p.graph) and p.graph.n >= 2)]
-    min_forbidden = min(p.graph.n for p in pats)
 
     while len(levels) <= n:
         parents = levels[-1]
@@ -155,15 +150,13 @@ def free_graph_classes(
             idx_chunks = [list(range(w, len(parents), workers)) for w in range(workers)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(
-                        _extend_chunk, chunk, idxs, complete_sizes, generic, min_forbidden
-                    )
+                    pool.submit(_extend_chunk, chunk, idxs, complete_sizes, generic)
                     for chunk, idxs in zip(chunks, idx_chunks)
                 ]
                 batches = [f.result() for f in futures]
         else:
             batches = [
-                _extend_one(parent, pidx, complete_sizes, generic, min_forbidden)
+                _extend_one(parent, pidx, complete_sizes, generic)
                 for pidx, parent in enumerate(parents)
             ]
         levels.append(_merge_extensions(batches))
@@ -175,11 +168,10 @@ def _extend_chunk(
     indices: list[int],
     complete_sizes: list[int],
     generic: list[Pattern],
-    min_forbidden: int,
 ) -> list[tuple[bytes, int, int, Graph]]:
     out = []
     for pidx, parent in zip(indices, parents):
-        out.extend(_extend_one(parent, pidx, complete_sizes, generic, min_forbidden))
+        out.extend(_extend_one(parent, pidx, complete_sizes, generic))
     return out
 
 
@@ -283,15 +275,9 @@ def _random_multipartite_seed(n: int, h: Pattern, rng: random.Random) -> Graph:
 def _random_free_seed(n: int, h: Pattern, rng: random.Random) -> Graph:
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(slots)
-    rows = [0] * n
-    g = Graph(n, rows)
+    g = empty_graph(n)
     for u, v in slots:
-        cand = object.__new__(Graph)
-        cand.n = n
-        rows2 = list(g.adj)
-        rows2[u] |= 1 << v
-        rows2[v] |= 1 << u
-        cand.adj = tuple(rows2)
+        cand = _toggle(g, u, v)
         if not exists_embedding_through_edge(cand, u, v, h):
             g = cand
     return g
@@ -306,13 +292,10 @@ def _copies_through_edge(g: Graph, u: int, v: int, t: Pattern) -> int:
 
 
 def _toggle(g: Graph, u: int, v: int) -> Graph:
-    out = object.__new__(Graph)
-    out.n = g.n
     rows = list(g.adj)
     rows[u] ^= 1 << v
     rows[v] ^= 1 << u
-    out.adj = tuple(rows)
-    return out
+    return Graph._trusted(g.n, tuple(rows))
 
 
 def _climb(

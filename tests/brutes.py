@@ -27,6 +27,33 @@ def embeddings_brute(host: Graph, pattern: Graph) -> int:
     return count
 
 
+def through_vertex_brute(host: Graph, v: int, pattern: Graph) -> int:
+    """Count edge-preserving injective maps whose image contains host vertex v."""
+    if pattern.n > host.n:
+        return 0
+    pedges = pattern.edges()
+    count = 0
+    for image in permutations(range(host.n), pattern.n):
+        if v in image and all(host.has_edge(image[a], image[b]) for a, b in pedges):
+            count += 1
+    return count
+
+
+def through_edge_brute(host: Graph, u: int, v: int, pattern: Graph) -> int:
+    """Count edge-preserving injective maps sending some pattern edge onto {u, v}."""
+    if pattern.n > host.n:
+        return 0
+    pedges = pattern.edges()
+    target = {u, v}
+    count = 0
+    for image in permutations(range(host.n), pattern.n):
+        if all(host.has_edge(image[a], image[b]) for a, b in pedges) and any(
+            {image[a], image[b]} == target for a, b in pedges
+        ):
+            count += 1
+    return count
+
+
 def copies_brute(host: Graph, pattern: Graph) -> int:
     aut = embeddings_brute(pattern, pattern)
     emb = embeddings_brute(host, pattern)

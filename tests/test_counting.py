@@ -21,6 +21,8 @@ from turanext.counting import (
     embeddings_through_edge,
     embeddings_through_vertex,
     exists_embedding,
+    exists_embedding_through_edge,
+    exists_embedding_through_vertex,
     min_pattern_degree,
     pattern_degree,
 )
@@ -140,10 +142,45 @@ def test_through_edge_sums_to_total():
         assert through == len(pattern.edges()) * total, name
 
 
+def _through_hosts(seed: str):
+    """Every host on at most 4 vertices, then random hosts on 5 and 6."""
+    for n in range(1, 5):
+        yield from brutes.all_graphs(n)
+    rng = random.Random(seed)
+    for n in (5, 5, 6, 6):
+        yield brutes.random_graph(rng, n, rng.uniform(0.3, 0.8))
+
+
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_through_vertex_and_edge_match_brute(name):
+    pattern = PATTERNS[name]
+    for host in _through_hosts(name):
+        for v in range(host.n):
+            brute = brutes.through_vertex_brute(host, v, pattern)
+            assert embeddings_through_vertex(host, v, pattern) == brute
+            assert exists_embedding_through_vertex(host, v, pattern) == (brute > 0)
+        for u, v in host.edges():
+            for a, b in ((u, v), (v, u)):
+                brute = brutes.through_edge_brute(host, a, b, pattern)
+                assert embeddings_through_edge(host, a, b, pattern) == brute
+                assert exists_embedding_through_edge(host, a, b, pattern) == (brute > 0)
+
+
 def test_through_edge_requires_host_edge():
     host = path_graph(4)
     with pytest.raises(ValueError):
         embeddings_through_edge(host, 0, 2, complete_graph(2))
+    with pytest.raises(ValueError):
+        exists_embedding_through_edge(host, 0, 2, complete_graph(2))
+
+
+def test_through_vertex_requires_host_vertex():
+    host = path_graph(4)
+    for v in (-1, 4):
+        with pytest.raises(ValueError):
+            embeddings_through_vertex(host, v, complete_graph(2))
+        with pytest.raises(ValueError):
+            exists_embedding_through_vertex(host, v, complete_graph(2))
 
 
 def test_pattern_degree_bowtie():
