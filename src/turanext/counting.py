@@ -19,21 +19,25 @@ placed neighbours, so every pattern edge is checked when its later endpoint
 is placed; no degree filter is needed for correctness, and on the dense
 hosts where counting is costly it prunes nothing.
 
+``critical_masks`` serves the exhaustive search's freeness filter with its
+own recursion over a plan of t - v, one v per automorphism orbit, which
+records where the neighbours of v land instead of counting.
+
 All counts are Python ints and therefore exact at every size we accept.
 """
 
 from __future__ import annotations
 
 from .errors import InternalCheckError
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, subgraph
 
 PATTERN_CAP = 16
 
 
 class Pattern:
-    """A small pattern graph plus its lazily computed automorphism count."""
+    """A small pattern graph plus its lazily computed symmetry data."""
 
-    __slots__ = ("graph", "_aut")
+    __slots__ = ("graph", "_aut", "_orbits", "_deletions")
 
     def __init__(self, graph: Graph):
         if graph.n > PATTERN_CAP:
@@ -42,12 +46,34 @@ class Pattern:
             raise ValueError("patterns must have at least one vertex")
         self.graph = graph
         self._aut: int | None = None
+        self._orbits: tuple[int, ...] | None = None
+        self._deletions: tuple | None = None
 
     @property
     def aut_count(self) -> int:
         if self._aut is None:
             self._aut = count_embeddings(self.graph, self.graph)
         return self._aut
+
+    @property
+    def orbit_reps(self) -> tuple[int, ...]:
+        """The lowest vertex of every automorphism orbit, ascending."""
+        if self._orbits is None:
+            t = self.graph
+            reps: list[int] = []
+            for u in range(t.n):
+                # an embedding of t into itself sending u to r is an automorphism
+                if not any(_embed(t, t, (u,), (r,), limit=1) for r in reps):
+                    reps.append(u)
+            self._orbits = tuple(reps)
+        return self._orbits
+
+    @property
+    def deletion_plans(self) -> tuple:
+        """``_deletion_plan`` of every orbit representative, for ``critical_masks``."""
+        if self._deletions is None:
+            self._deletions = tuple(_deletion_plan(self.graph, v) for v in self.orbit_reps)
+        return self._deletions
 
     def __repr__(self) -> str:
         return f"Pattern({self.graph!r})"
@@ -219,7 +245,87 @@ def exists_embedding_through_edge(g: Graph, u: int, v: int, t: Graph | Pattern) 
 
 
 # ---------------------------------------------------------------------------
-# cliques (special-cased: the hot path of the whole package)
+# critical masks: the freeness filter of the exhaustive search
+
+
+def _deletion_plan(t: Graph, v: int) -> tuple[list[list[int]], list[int], int]:
+    """Backtracking plan of t - v for ``_neighbour_images``.
+
+    Per position: the positions of its placed neighbours, and whether it is
+    a neighbour of v; then the position just past the last such neighbour.
+    """
+    others = [u for u in range(t.n) if u != v]
+    if not others:
+        return [], [], 0
+    rest = subgraph(t, others)
+    order = _plan(rest)
+    pos = {u: i for i, u in enumerate(order)}
+    back = [
+        [pos[u] for u in _bits(rest.adj[w]) if pos[u] < i] for i, w in enumerate(order)
+    ]
+    sees = [(t.adj[v] >> others[w]) & 1 for w in order]
+    split = max((i + 1 for i, s in enumerate(sees) if s), default=0)
+    return back, sees, split
+
+
+def _neighbour_images(
+    g: Graph, plan: tuple[list[list[int]], list[int], int], found: set[int]
+) -> None:
+    """Add to ``found`` every host set onto which some embedding of t - v maps N(v).
+
+    Past the last neighbour of v in the plan only existence matters, so the
+    search stops at the first completion, and skips a placement whose mask
+    is already known.
+    """
+    back, sees, split = plan
+    n = len(back)
+    gadj = g.adj
+    image = [0] * n
+
+    def rec(i: int, avail: int, mask: int) -> bool:
+        if i == split and mask in found:
+            return True
+        if i == n:
+            found.add(mask)
+            return True
+        cand = avail
+        for j in back[i]:
+            cand &= image[j]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            image[i] = gadj[low.bit_length() - 1]
+            if rec(i + 1, avail ^ low, mask | low if sees[i] else mask) and i >= split:
+                return True
+        return False
+
+    rec(0, (1 << g.n) - 1, 0)
+
+
+def critical_masks(g: Graph, t: Graph | Pattern) -> list[int]:
+    """Minimal host vertex sets a new vertex must not see all of, to stay t-free.
+
+    Joining a new vertex to the host vertices in ``mask`` creates a copy of
+    t if and only if ``mask`` contains one of the returned sets: the new
+    vertex plays some pattern vertex v, the rest of the copy is an embedding
+    of t - v into g, and v's neighbours must land inside ``mask``.  One v
+    per automorphism orbit suffices.  No returned set contains another;
+    they come fewest vertices first.
+    """
+    pat = as_pattern(t)
+    found: set[int] = set()
+    if pat.graph.n - 1 <= g.n:
+        for plan in pat.deletion_plans:
+            _neighbour_images(g, plan, found)
+    minimal: list[int] = []
+    for mask in sorted(found, key=lambda m: (m.bit_count(), m)):
+        if not any(c & mask == c for c in minimal):
+            minimal.append(mask)
+    return minimal
+
+
+# ---------------------------------------------------------------------------
+# cliques, counted and listed directly rather than through the kernel
 
 
 def count_cliques(g: Graph, m: int) -> int:

@@ -5,10 +5,14 @@ isomorphism class of the graphs avoiding the forbidden patterns: each
 k-vertex representative is extended by a new vertex with every possible
 neighborhood, children that pick up a forbidden copy (necessarily through
 the new vertex) are rejected, and the rest are deduplicated by canonical
-form.  Freeness is hereditary, so deleting the last vertex of any free
-(k+1)-vertex graph lands back in the level-k class list and the enumeration
-is complete.  Class lists are cached per forbidden set, so scans that vary
-the counted pattern or n reuse the expensive part.
+form.  The rejection test is one pass per parent: ``critical_masks`` lists
+the minimal parent vertex sets onto which some embedding of H - v maps the
+neighbours of v, and a neighborhood is rejected exactly when it contains
+one of them (for H = K_m these are the (m-1)-cliques).  Freeness is
+hereditary, so deleting the last vertex of any free (k+1)-vertex graph
+lands back in the level-k class list and the enumeration is complete.
+Class lists are cached per forbidden set, so scans that vary the counted
+pattern or n reuse the expensive part.
 
 The other two routes trade exhaustiveness for reach: an exact scan over
 complete multipartite hosts (closed-form counts, any n), and plain
@@ -25,13 +29,14 @@ from .closedform import Composition, Params, multipartite_pattern_count
 from .counting import (
     Pattern,
     as_pattern,
-    clique_masks,
     contains_subgraph,
     count_copies,
+    critical_masks,
     embeddings_through_edge,
     exists_embedding_through_edge,
-    exists_embedding_through_vertex,
 )
+# unused here, but the benchmark's tracer wraps both names on this module
+from .counting import clique_masks, exists_embedding_through_vertex  # noqa: F401
 from .errors import InternalCheckError, SearchCapError
 from .graphs import (
     Graph,
@@ -83,21 +88,17 @@ class ExtremalResult:
 _CLASS_CACHE: dict[tuple[bytes, ...], list[list[Graph]]] = {}
 
 
-def _is_complete(g: Graph) -> bool:
-    return g.edge_count() == g.n * (g.n - 1) // 2
-
-
 def _extend_one(
-    parent: Graph,
-    pidx: int,
-    complete_sizes: list[int],
-    generic: list[Pattern],
+    parent: Graph, pidx: int, pats: list[Pattern]
 ) -> list[tuple[bytes, int, int, Graph]]:
-    """All free extensions of one parent; (form, parent index, mask, child)."""
+    """All free extensions of one parent; (form, parent index, mask, child).
+
+    The new vertex k joins the parent vertices in ``mask``.  Since the parent
+    is free, any forbidden copy in the child runs through k, so the child is
+    free if and only if ``mask`` contains none of the parent's critical masks.
+    """
     k = parent.n
-    critical: list[int] = []
-    for m in complete_sizes:
-        critical.extend(clique_masks(parent, m - 1))
+    critical = [c for p in pats for c in critical_masks(parent, p)]
     out = []
     rows = parent.adj
     for mask in range(1 << k):
@@ -107,8 +108,6 @@ def _extend_one(
             row | (1 << k) if (mask >> v) & 1 else row for v, row in enumerate(rows)
         )
         child = Graph._trusted(k + 1, grown + (mask,))
-        if any(exists_embedding_through_vertex(child, k, t) for t in generic):
-            continue
         out.append((canonical_form(child), pidx, mask, child))
     return out
 
@@ -140,8 +139,6 @@ def free_graph_classes(
         raise ValueError("need at least one forbidden pattern")
     key = tuple(sorted(canonical_form(p.graph) for p in pats))
     levels = _CLASS_CACHE.setdefault(key, [[empty_graph(0)]])
-    complete_sizes = [p.graph.n for p in pats if _is_complete(p.graph) and p.graph.n >= 2]
-    generic = [p for p in pats if not (_is_complete(p.graph) and p.graph.n >= 2)]
 
     while len(levels) <= n:
         parents = levels[-1]
@@ -150,35 +147,29 @@ def free_graph_classes(
             idx_chunks = [list(range(w, len(parents), workers)) for w in range(workers)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(_extend_chunk, chunk, idxs, complete_sizes, generic)
+                    pool.submit(_extend_chunk, chunk, idxs, pats)
                     for chunk, idxs in zip(chunks, idx_chunks)
                 ]
                 batches = [f.result() for f in futures]
         else:
-            batches = [
-                _extend_one(parent, pidx, complete_sizes, generic)
-                for pidx, parent in enumerate(parents)
-            ]
+            batches = [_extend_one(parent, pidx, pats) for pidx, parent in enumerate(parents)]
         levels.append(_merge_extensions(batches))
     return levels[: n + 1]
 
 
 def _extend_chunk(
-    parents: list[Graph],
-    indices: list[int],
-    complete_sizes: list[int],
-    generic: list[Pattern],
+    parents: list[Graph], indices: list[int], pats: list[Pattern]
 ) -> list[tuple[bytes, int, int, Graph]]:
     out = []
     for pidx, parent in zip(indices, parents):
-        out.extend(_extend_one(parent, pidx, complete_sizes, generic))
+        out.extend(_extend_one(parent, pidx, pats))
     return out
 
 
 def _exact_cap(h: Pattern) -> int:
     """Dense forbidden patterns prune hard enough to afford one more level."""
     g = h.graph
-    if _is_complete(g) and g.n <= 3:
+    if g.n <= 3 and g.edge_count() == g.n * (g.n - 1) // 2:
         return _EXACT_CAP_DENSE
     return _EXACT_CAP
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from turanext.counting import (
     count_cliques,
     count_copies,
     count_embeddings,
+    critical_masks,
     embeddings_through_edge,
     embeddings_through_vertex,
     exists_embedding,
@@ -27,6 +29,7 @@ from turanext.counting import (
     pattern_degree,
 )
 from turanext.graphs import (
+    Graph,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -54,7 +57,7 @@ PATTERNS = {
 @pytest.mark.parametrize("name", sorted(PATTERNS))
 def test_embeddings_and_copies_match_brute(name):
     pattern = PATTERNS[name]
-    rng = random.Random(hash(name) & 0xFFFF)
+    rng = random.Random(name)
     for _ in range(12):
         host = brutes.random_graph(rng, rng.randint(3, 6), rng.uniform(0.2, 0.8))
         assert count_embeddings(host, pattern) == brutes.embeddings_brute(host, pattern)
@@ -181,6 +184,59 @@ def test_through_vertex_requires_host_vertex():
             embeddings_through_vertex(host, v, complete_graph(2))
         with pytest.raises(ValueError):
             exists_embedding_through_vertex(host, v, complete_graph(2))
+
+
+def test_orbit_reps():
+    assert Pattern(cycle_graph(5)).orbit_reps == (0,)
+    assert Pattern(path_graph(4)).orbit_reps == (0, 1)
+    assert Pattern(PATTERNS["star3"]).orbit_reps == (0, 1)
+    assert Pattern(PATTERNS["K2+iso"]).orbit_reps == (0, 2)
+    assert Pattern(complete_graph(1)).orbit_reps == (0,)
+
+
+def _brute_relabeling(g: Graph, perms: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """A relabeling sending every graph of one isomorphism class to one graph."""
+    return min(perms, key=lambda p: sorted(sorted((p[u], p[v])) for u, v in g.edges()))
+
+
+def test_critical_masks_match_brute():
+    """Joining a new vertex k to ``mask`` of any labeled parent on <= 5 vertices
+    makes a forbidden copy exactly when ``mask`` contains a critical mask."""
+    sets = [
+        [Pattern(PATTERNS[name])]
+        for name in ("K2+iso", "2K2", "P3", "P4", "C4", "K3", "K4", "star3")
+    ] + [[Pattern(cycle_graph(5))], [Pattern(PATTERNS["C4"]), Pattern(PATTERNS["K3"])]]
+    for k in range(6):
+        perms = list(permutations(range(k)))
+        # the brute verdict is the same for (parent, mask) and any relabeling
+        # of both, so it is computed once per isomorphism class of parent
+        verdicts: dict[tuple[tuple[int, ...], int], list[bool]] = {}
+        for parent in brutes.all_graphs(k):
+            per_set = []
+            for forbidden in sets:
+                masks = []
+                for h in forbidden:
+                    own = critical_masks(parent, h)
+                    assert not any(a != b and a & b == a for a in own for b in own)
+                    masks += own
+                per_set.append(masks)
+            perm = _brute_relabeling(parent, perms)
+            rep = relabel(parent, perm)
+            for mask in range(1 << k):
+                image = sum(1 << perm[v] for v in range(k) if (mask >> v) & 1)
+                key = (rep.adj, image)
+                if key not in verdicts:
+                    rows = [
+                        row | (1 << k) if (image >> v) & 1 else row
+                        for v, row in enumerate(rep.adj)
+                    ]
+                    child = Graph(k + 1, rows + [image])
+                    verdicts[key] = [
+                        any(brutes.through_vertex_brute(child, k, h.graph) > 0 for h in forbidden)
+                        for forbidden in sets
+                    ]
+                got = [any(c & mask == c for c in masks) for masks in per_set]
+                assert got == verdicts[key], (parent.edges(), mask)
 
 
 def test_pattern_degree_bowtie():

@@ -14,7 +14,9 @@ from turanext.graphs import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    graph_from_edges,
     is_isomorphic,
+    path_graph,
     turan_graph,
 )
 from turanext.search import (
@@ -45,6 +47,22 @@ def test_free_classes_known_counts():
     # 4-cycle-free
     sizes = [len(lvl) for lvl in free_graph_classes(7, [cycle_graph(4)])]
     assert sizes == [1, 1, 2, 4, 8, 18, 44, 117]
+
+
+def test_free_classes_known_counts_generic():
+    """Forbidden sets that are not cliques, each level pinned."""
+    star3 = complete_multipartite((1, 3))
+    two_k2 = graph_from_edges(4, [(0, 1), (2, 3)])
+    cases = [
+        ([cycle_graph(5)], [1, 1, 2, 4, 11, 26, 80, 251]),
+        ([path_graph(4)], [1, 1, 2, 4, 6, 9, 15, 21, 31]),
+        ([star3], [1, 1, 2, 4, 7, 11, 19, 29, 46]),
+        ([two_k2], [1, 1, 2, 4, 5, 6, 7, 8, 9]),
+        ([cycle_graph(4), K3], [1, 1, 2, 3, 6, 11, 23, 48, 114]),
+    ]
+    for forbidden, sizes in cases:
+        levels = free_graph_classes(len(sizes) - 1, forbidden)
+        assert [len(lvl) for lvl in levels] == sizes, forbidden
 
 
 def test_free_classes_match_labeled_brute():
@@ -80,6 +98,15 @@ def test_free_classes_worker_invariance():
         [canonical_form(g) for g in lvl]
         for lvl in free_graph_classes(6, [K3], workers=3)
     ]
+    assert solo == multi
+
+
+def test_free_classes_worker_invariance_generic():
+    c5 = [cycle_graph(5)]
+    search_mod._CLASS_CACHE.clear()
+    solo = [[g.adj for g in lvl] for lvl in free_graph_classes(7, c5, workers=1)]
+    search_mod._CLASS_CACHE.clear()
+    multi = [[g.adj for g in lvl] for lvl in free_graph_classes(7, c5, workers=2)]
     assert solo == multi
 
 
