@@ -7,17 +7,19 @@ division must be exact; a nonzero remainder means the embedding count
 itself is wrong, so it is promoted to an internal error rather than
 silently truncated.
 
-One kernel serves every count and every existence test.  ``_plan`` orders
-the pattern vertices greedily (each new vertex sees as many placed
-neighbours as possible), starting from an optional prefix; ``_embed``
-backtracks along that order, pins the prefix to given host vertices, and
-stops once it has found ``limit`` embeddings.  Existence is counting with a
-limit of 1, and the through-vertex and through-edge variants sum the kernel
-over every root or every ordered pattern edge as prefix.  The candidates
-for a vertex are the unused host vertices adjacent to the images of all its
-placed neighbours, so every pattern edge is checked when its later endpoint
-is placed; no degree filter is needed for correctness, and on the dense
-hosts where counting is costly it prunes nothing.
+One kernel serves every count and every existence test.  ``_plan`` compiles
+a pattern into a plan: the pattern vertices in a greedy order (each new
+vertex sees as many placed neighbours as possible) from an optional prefix,
+and for each position the earlier positions adjacent to it.  ``_embed``
+backtracks along a compiled plan, pins the prefix to given host vertices,
+and stops once it has found ``limit`` embeddings.  Existence is counting
+with a limit of 1, and the through-vertex and through-edge variants sum the
+kernel over the plans of every root or every ordered pattern edge.
+``Pattern`` owns the plans and compiles each one once, on first use.  The
+candidates for a vertex are the unused host vertices adjacent to the images
+of all its placed neighbours, so every pattern edge is checked when its
+later endpoint is placed; no degree filter is needed for correctness, and
+on the dense hosts where counting is costly it prunes nothing.
 
 ``critical_masks`` serves the exhaustive search's freeness filter with its
 own recursion over a plan of t - v, one v per automorphism orbit, which
@@ -28,16 +30,20 @@ All counts are Python ints and therefore exact at every size we accept.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import InternalCheckError
 from .graphs import Graph, _bits, subgraph
 
 PATTERN_CAP = 16
 
+#: a compiled backtracking plan: for each position, the earlier positions
+#: it is adjacent to (positions are indices into the vertex order)
+Plan = list[list[int]]
+
 
 class Pattern:
-    """A small pattern graph plus its lazily computed symmetry data."""
-
-    __slots__ = ("graph", "_aut", "_orbits", "_deletions")
+    """A small pattern graph plus its lazily compiled plans and symmetry data."""
 
     def __init__(self, graph: Graph):
         if graph.n > PATTERN_CAP:
@@ -45,35 +51,42 @@ class Pattern:
         if graph.n == 0:
             raise ValueError("patterns must have at least one vertex")
         self.graph = graph
-        self._aut: int | None = None
-        self._orbits: tuple[int, ...] | None = None
-        self._deletions: tuple | None = None
 
-    @property
+    @cached_property
+    def plan(self) -> Plan:
+        """Plan of the whole pattern, from a maximum-degree vertex."""
+        return _plan(self.graph)[1]
+
+    @cached_property
+    def root_plans(self) -> tuple[Plan, ...]:
+        """Plan starting at vertex r, for every r."""
+        return tuple(_plan(self.graph, (r,))[1] for r in range(self.graph.n))
+
+    @cached_property
+    def edge_plans(self) -> tuple[Plan, ...]:
+        """Plan starting at (x, y) and at (y, x), for every edge xy."""
+        t = self.graph
+        return tuple(_plan(t, p)[1] for x, y in t.edges() for p in ((x, y), (y, x)))
+
+    @cached_property
     def aut_count(self) -> int:
-        if self._aut is None:
-            self._aut = count_embeddings(self.graph, self.graph)
-        return self._aut
+        return _embed(self.graph, self.plan)
 
-    @property
+    @cached_property
     def orbit_reps(self) -> tuple[int, ...]:
         """The lowest vertex of every automorphism orbit, ascending."""
-        if self._orbits is None:
-            t = self.graph
-            reps: list[int] = []
-            for u in range(t.n):
-                # an embedding of t into itself sending u to r is an automorphism
-                if not any(_embed(t, t, (u,), (r,), limit=1) for r in reps):
-                    reps.append(u)
-            self._orbits = tuple(reps)
-        return self._orbits
+        t = self.graph
+        reps: list[int] = []
+        for u in range(t.n):
+            # an embedding of t into itself sending u to r is an automorphism
+            if not any(_embed(t, self.root_plans[u], (r,), limit=1) for r in reps):
+                reps.append(u)
+        return tuple(reps)
 
-    @property
+    @cached_property
     def deletion_plans(self) -> tuple:
         """``_deletion_plan`` of every orbit representative, for ``critical_masks``."""
-        if self._deletions is None:
-            self._deletions = tuple(_deletion_plan(self.graph, v) for v in self.orbit_reps)
-        return self._deletions
+        return tuple(_deletion_plan(self.graph, v) for v in self.orbit_reps)
 
     def __repr__(self) -> str:
         return f"Pattern({self.graph!r})"
@@ -83,8 +96,9 @@ def as_pattern(obj: Graph | Pattern) -> Pattern:
     return obj if isinstance(obj, Pattern) else Pattern(obj)
 
 
-def _plan(t: Graph, prefix: tuple[int, ...] = ()) -> list[int]:
-    """Vertex order for backtracking: each new vertex sees many placed neighbors.
+def _plan(t: Graph, prefix: tuple[int, ...] = ()) -> tuple[list[int], Plan]:
+    """Vertex order for backtracking and its plan; each new vertex sees many
+    placed neighbors.
 
     Starts with ``prefix`` if given, else with a maximum-degree vertex; then
     greedily picks the vertex with the most already-placed neighbors (ties:
@@ -109,31 +123,23 @@ def _plan(t: Graph, prefix: tuple[int, ...] = ()) -> list[int]:
                 best = v
         order.append(best)
         placed |= 1 << best
-    return order
+    pos = {v: i for i, v in enumerate(order)}
+    back = [[pos[u] for u in _bits(adj[v]) if pos[u] < i] for i, v in enumerate(order)]
+    return order, back
 
 
-def _embed(
-    g: Graph,
-    t: Graph,
-    prefix: tuple[int, ...] = (),
-    pinned: tuple[int, ...] = (),
-    limit: int = 0,
-) -> int:
-    """Count injective edge-preserving maps t -> g sending prefix[i] to pinned[i].
+def _embed(g: Graph, back: Plan, pinned: tuple[int, ...] = (), limit: int = 0) -> int:
+    """Count injective edge-preserving maps along plan ``back`` into g that send
+    its first positions to the host vertices ``pinned``.
 
     With ``limit`` > 0 the search stops once it has found at least ``limit``
     embeddings and returns a count of at least ``limit``.
     """
-    n = t.n
+    n = len(back)
     if n > g.n:
         return 0
-    order = _plan(t, prefix)
-    pos = {v: i for i, v in enumerate(order)}
-    back = [
-        [pos[u] for u in _bits(t.adj[v]) if pos[u] < i] for i, v in enumerate(order)
-    ]
     gadj = g.adj
-    # image[i] is the host neighborhood row of the vertex that order[i] maps to
+    # image[i] is the host neighborhood row of the vertex that position i maps to
     image = [0] * n
     avail = (1 << g.n) - 1
     for i, host in enumerate(pinned):
@@ -174,17 +180,17 @@ def _embed(
 
 def count_embeddings(g: Graph, t: Graph | Pattern) -> int:
     """Number of injective maps V(t) -> V(g) sending edges to edges."""
-    return _embed(g, as_pattern(t).graph)
+    return _embed(g, as_pattern(t).plan)
 
 
 def exists_embedding(g: Graph, t: Graph | Pattern) -> bool:
-    return _embed(g, as_pattern(t).graph, limit=1) > 0
+    return _embed(g, as_pattern(t).plan, limit=1) > 0
 
 
 def count_copies(g: Graph, t: Graph | Pattern) -> int:
     """Number of subgraphs of g isomorphic to t (embeddings / automorphisms)."""
     pat = as_pattern(t)
-    emb = count_embeddings(g, pat.graph)
+    emb = count_embeddings(g, pat)
     copies, rem = divmod(emb, pat.aut_count)
     if rem:
         raise InternalCheckError(
@@ -199,14 +205,11 @@ def automorphism_count(t: Graph) -> int:
 
 def _through_vertex(g: Graph, v: int, t: Graph | Pattern, limit: int) -> int:
     """Sum of the kernel over every pattern root pinned to host vertex v."""
-    t = as_pattern(t).graph
     if not 0 <= v < g.n:
         raise ValueError("v is not a vertex of the host")
-    if t.n > g.n:
-        return 0
     total = 0
-    for root in range(t.n):
-        total += _embed(g, t, (root,), (v,), limit)
+    for plan in as_pattern(t).root_plans:
+        total += _embed(g, plan, (v,), limit)
         if limit and total >= limit:
             return total
     return total
@@ -223,15 +226,13 @@ def exists_embedding_through_vertex(g: Graph, v: int, t: Graph | Pattern) -> boo
 
 def _through_edge(g: Graph, u: int, v: int, t: Graph | Pattern, limit: int) -> int:
     """Sum of the kernel over every ordered pattern edge pinned to (u, v)."""
-    t = as_pattern(t).graph
     if not g.has_edge(u, v):
         raise ValueError("uv is not an edge of the host")
     total = 0
-    for x, y in t.edges():
-        for prefix in ((x, y), (y, x)):
-            total += _embed(g, t, prefix, (u, v), limit)
-            if limit and total >= limit:
-                return total
+    for plan in as_pattern(t).edge_plans:
+        total += _embed(g, plan, (u, v), limit)
+        if limit and total >= limit:
+            return total
     return total
 
 
@@ -248,7 +249,7 @@ def exists_embedding_through_edge(g: Graph, u: int, v: int, t: Graph | Pattern) 
 # critical masks: the freeness filter of the exhaustive search
 
 
-def _deletion_plan(t: Graph, v: int) -> tuple[list[list[int]], list[int], int]:
+def _deletion_plan(t: Graph, v: int) -> tuple[Plan, list[int], int]:
     """Backtracking plan of t - v for ``_neighbour_images``.
 
     Per position: the positions of its placed neighbours, and whether it is
@@ -257,19 +258,14 @@ def _deletion_plan(t: Graph, v: int) -> tuple[list[list[int]], list[int], int]:
     others = [u for u in range(t.n) if u != v]
     if not others:
         return [], [], 0
-    rest = subgraph(t, others)
-    order = _plan(rest)
-    pos = {u: i for i, u in enumerate(order)}
-    back = [
-        [pos[u] for u in _bits(rest.adj[w]) if pos[u] < i] for i, w in enumerate(order)
-    ]
+    order, back = _plan(subgraph(t, others))
     sees = [(t.adj[v] >> others[w]) & 1 for w in order]
     split = max((i + 1 for i, s in enumerate(sees) if s), default=0)
     return back, sees, split
 
 
 def _neighbour_images(
-    g: Graph, plan: tuple[list[list[int]], list[int], int], found: set[int]
+    g: Graph, plan: tuple[Plan, list[int], int], found: set[int]
 ) -> None:
     """Add to ``found`` every host set onto which some embedding of t - v maps N(v).
 
@@ -406,7 +402,7 @@ def clique_number(g: Graph) -> int:
 def pattern_degree(g: Graph, v: int, t: Graph | Pattern) -> int:
     """Number of copies of t in g whose vertex set contains v."""
     pat = as_pattern(t)
-    emb = embeddings_through_vertex(g, v, pat.graph)
+    emb = embeddings_through_vertex(g, v, pat)
     deg, rem = divmod(emb, pat.aut_count)
     if rem:
         raise InternalCheckError(

@@ -18,7 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .counting import contains_subgraph, count_cliques, exists_embedding_through_edge
+from .counting import (
+    Pattern,
+    contains_subgraph,
+    count_cliques,
+    exists_embedding_through_edge,
+)
 from .errors import InternalCheckError, SearchCapError
 from .graphs import (
     Graph,
@@ -142,7 +147,8 @@ def biex(n: int, h: Graph, family: DecompositionFamily | None = None) -> BiexRes
     else:
         level = free_graph_classes(n, cores)[n]
         top = max(g.edge_count() for g in level)
-        witness = max((g for g in level if g.edge_count() == top), key=canonical_form)
+        # the level ascends in canonical form, so this is the top count's largest form
+        witness = [g for g in level if g.edge_count() == top][-1]
     if not is_family_free(witness, fam):
         raise InternalCheckError("excess witness fails the family-freeness recheck")
     return BiexResult(n=n, value=witness.edge_count(), witness=witness, exhaustive=True)
@@ -165,7 +171,7 @@ def is_edge_critical(h: Graph) -> bool:
 
 def _greedy_family_free(n: int, fam: DecompositionFamily) -> Graph:
     """Maximal family-free graph grown by scanning edge slots in index order."""
-    cores = [strip_isolated(m) for m in fam.minimal_members if m.n <= n]
+    cores = [Pattern(strip_isolated(m)) for m in fam.minimal_members if m.n <= n]
     g = empty_graph(n)
     for u in range(n):
         for v in range(u + 1, n):

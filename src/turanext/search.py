@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from .closedform import Composition, Params, multipartite_pattern_count
 from .counting import (
@@ -54,7 +55,11 @@ _EXACT_CAP_DENSE = 9
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the search routes; ``mode`` picks the route in the CLI."""
+    """Knobs for the search routes.
+
+    No library routine reads ``mode``: the CLI picks the route from its own
+    parameter.  It stays because the benchmark's worker passes it.
+    """
 
     mode: str = "exhaustive"
     seed: int = 0
@@ -88,10 +93,8 @@ class ExtremalResult:
 _CLASS_CACHE: dict[tuple[bytes, ...], list[list[Graph]]] = {}
 
 
-def _extend_one(
-    parent: Graph, pidx: int, pats: list[Pattern]
-) -> list[tuple[bytes, int, int, Graph]]:
-    """All free extensions of one parent; (form, parent index, mask, child).
+def _extend_one(parent: Graph, pats: list[Pattern]) -> list[tuple[bytes, Graph]]:
+    """All free extensions of one parent, in mask order; (form, child).
 
     The new vertex k joins the parent vertices in ``mask``.  Since the parent
     is free, any forbidden copy in the child runs through k, so the child is
@@ -108,21 +111,8 @@ def _extend_one(
             row | (1 << k) if (mask >> v) & 1 else row for v, row in enumerate(rows)
         )
         child = Graph._trusted(k + 1, grown + (mask,))
-        out.append((canonical_form(child), pidx, mask, child))
+        out.append((canonical_form(child), child))
     return out
-
-
-def _merge_extensions(
-    batches: list[list[tuple[bytes, int, int, Graph]]]
-) -> list[Graph]:
-    """Keep, per isomorphism class, the child generated earliest in scan order."""
-    chosen: dict[bytes, tuple[int, int, Graph]] = {}
-    for batch in batches:
-        for form, pidx, mask, child in batch:
-            prev = chosen.get(form)
-            if prev is None or (pidx, mask) < prev[:2]:
-                chosen[form] = (pidx, mask, child)
-    return [chosen[form][2] for form in sorted(chosen)]
 
 
 def free_graph_classes(
@@ -132,8 +122,12 @@ def free_graph_classes(
 
     Returns a list of n+1 levels; level k holds exactly one representative of
     every isomorphism class of k-vertex graphs containing no forbidden
-    pattern.  Results are cached per forbidden set and extended on demand.
+    pattern, in ascending canonical form.  The representative of a class is
+    the first child generated in (parent, mask) order.  Results are cached
+    per forbidden set and extended on demand.
     """
+    if n < 0:
+        raise ValueError("need n >= 0")
     pats = [as_pattern(f) for f in forbidden]
     if not pats:
         raise ValueError("need at least one forbidden pattern")
@@ -143,27 +137,19 @@ def free_graph_classes(
     while len(levels) <= n:
         parents = levels[-1]
         if workers > 1 and len(parents) >= 4 * workers:
-            chunks = [parents[w::workers] for w in range(workers)]
-            idx_chunks = [list(range(w, len(parents), workers)) for w in range(workers)]
+            chunk = -(-len(parents) // (4 * workers))
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_extend_chunk, chunk, idxs, pats)
-                    for chunk, idxs in zip(chunks, idx_chunks)
-                ]
-                batches = [f.result() for f in futures]
+                batches = list(
+                    pool.map(_extend_one, parents, repeat(pats), chunksize=chunk)
+                )
         else:
-            batches = [_extend_one(parent, pidx, pats) for pidx, parent in enumerate(parents)]
-        levels.append(_merge_extensions(batches))
+            batches = [_extend_one(parent, pats) for parent in parents]
+        chosen: dict[bytes, Graph] = {}
+        for batch in batches:
+            for form, child in batch:
+                chosen.setdefault(form, child)
+        levels.append([chosen[form] for form in sorted(chosen)])
     return levels[: n + 1]
-
-
-def _extend_chunk(
-    parents: list[Graph], indices: list[int], pats: list[Pattern]
-) -> list[tuple[bytes, int, int, Graph]]:
-    out = []
-    for pidx, parent in zip(indices, parents):
-        out.extend(_extend_one(parent, pidx, pats))
-    return out
 
 
 def _exact_cap(h: Pattern) -> int:
@@ -204,9 +190,8 @@ def extremal_exact(
             best, arg = c, [g]
         elif c == best:
             arg.append(g)
-    witnesses = tuple(
-        sorted((canonical_graph(g) for g in arg), key=canonical_form)
-    )
+    # the level is in ascending canonical form, so the witnesses are too
+    witnesses = tuple(canonical_graph(g) for g in arg)
     for w in witnesses:
         if contains_subgraph(w, hp) or count_copies(w, tp) != best:
             raise InternalCheckError("extremal witness failed re-verification")
@@ -275,7 +260,7 @@ def _random_free_seed(n: int, h: Pattern, rng: random.Random) -> Graph:
 
 
 def _copies_through_edge(g: Graph, u: int, v: int, t: Pattern) -> int:
-    emb = embeddings_through_edge(g, u, v, t.graph)
+    emb = embeddings_through_edge(g, u, v, t)
     copies, rem = divmod(emb, t.aut_count)
     if rem:
         raise InternalCheckError("through-edge embeddings not divisible by |Aut|")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brutes
+from turanext import counting
 from turanext.counting import (
     Pattern,
     automorphism_count,
@@ -52,6 +53,9 @@ PATTERNS = {
     "2K2": graph_from_edges(4, [(0, 1), (2, 3)]),
     "K2+iso": graph_from_edges(3, [(0, 1)]),
 }
+# one Pattern per name shared by every test, so its compiled plans are reused
+# across hosts, limits and tests
+SHARED = {name: Pattern(g) for name, g in PATTERNS.items()}
 
 
 @pytest.mark.parametrize("name", sorted(PATTERNS))
@@ -60,8 +64,11 @@ def test_embeddings_and_copies_match_brute(name):
     rng = random.Random(name)
     for _ in range(12):
         host = brutes.random_graph(rng, rng.randint(3, 6), rng.uniform(0.2, 0.8))
-        assert count_embeddings(host, pattern) == brutes.embeddings_brute(host, pattern)
-        assert count_copies(host, pattern) == brutes.copies_brute(host, pattern)
+        embeddings = brutes.embeddings_brute(host, pattern)
+        copies = brutes.copies_brute(host, pattern)
+        for t in (pattern, SHARED[name]):
+            assert count_embeddings(host, t) == embeddings
+            assert count_copies(host, t) == copies
 
 
 def test_copies_known_values():
@@ -160,13 +167,42 @@ def test_through_vertex_and_edge_match_brute(name):
     for host in _through_hosts(name):
         for v in range(host.n):
             brute = brutes.through_vertex_brute(host, v, pattern)
-            assert embeddings_through_vertex(host, v, pattern) == brute
-            assert exists_embedding_through_vertex(host, v, pattern) == (brute > 0)
+            for t in (pattern, SHARED[name]):
+                assert embeddings_through_vertex(host, v, t) == brute
+                assert exists_embedding_through_vertex(host, v, t) == (brute > 0)
         for u, v in host.edges():
             for a, b in ((u, v), (v, u)):
                 brute = brutes.through_edge_brute(host, a, b, pattern)
-                assert embeddings_through_edge(host, a, b, pattern) == brute
-                assert exists_embedding_through_edge(host, a, b, pattern) == (brute > 0)
+                for t in (pattern, SHARED[name]):
+                    assert embeddings_through_edge(host, a, b, t) == brute
+                    assert exists_embedding_through_edge(host, a, b, t) == (brute > 0)
+
+
+def test_pattern_compiles_each_plan_once(monkeypatch):
+    """Kernel calls on one Pattern compile each plan once: the whole pattern,
+    every root and every ordered edge, and nothing on later calls."""
+    prefixes = []
+    compile_plan = counting._plan
+
+    def counted(t, prefix=()):
+        prefixes.append(prefix)
+        return compile_plan(t, prefix)
+
+    monkeypatch.setattr(counting, "_plan", counted)
+    pat = Pattern(cycle_graph(5))
+    rng = random.Random("plans")
+    hosts = [complete_graph(6)] + [brutes.random_graph(rng, 7, 0.6) for _ in range(3)]
+    for i, host in enumerate(hosts):
+        count_copies(host, pat)
+        for v in range(host.n):
+            pattern_degree(host, v, pat)
+        for u, v in host.edges():
+            embeddings_through_edge(host, u, v, pat)
+            exists_embedding_through_edge(host, u, v, pat)
+        if i == 0:
+            first = len(prefixes)
+    assert len(prefixes) == first == 1 + 5 + 2 * 5
+    assert len(set(prefixes)) == len(prefixes)
 
 
 def test_through_edge_requires_host_edge():

@@ -115,6 +115,21 @@ def test_free_classes_rejects_empty_forbidden_list():
         free_graph_classes(4, [])
 
 
+def test_free_classes_rejects_negative_n():
+    free_graph_classes(6, [K3])
+    with pytest.raises(ValueError):
+        free_graph_classes(-2, [K3])
+
+
+def test_free_classes_levels_ascend_in_canonical_form():
+    """extremal_exact and biex read their witnesses off this order."""
+    cases = [([K3], 8), ([K4], 7), ([cycle_graph(5)], 7), ([cycle_graph(4), K3], 8)]
+    for forbidden, top in cases:
+        for lvl in free_graph_classes(top, forbidden):
+            forms = [canonical_form(g) for g in lvl]
+            assert all(a < b for a, b in zip(forms, forms[1:]))
+
+
 # ---------------------------------------------------------------------------
 # exact extremal search
 
