@@ -209,7 +209,7 @@ def lower_bound_construction(n: int, h: Graph, m: int) -> tuple[Graph, int]:
     to contain no copy of h before returning.
     """
     if n > _CONSTRUCTION_CAP:
-        raise ValueError(f"construction is capped at n = {_CONSTRUCTION_CAP}")
+        raise SearchCapError(f"construction is capped at n = {_CONSTRUCTION_CAP}")
     fam = decomposition_family(h)
     r = fam.r
     if not (r + 1 > m >= 2):

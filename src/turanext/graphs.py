@@ -9,15 +9,17 @@ throughout (Turan graphs, complete multipartite graphs, blowups), exact
 chromatic numbers and proper-partition enumeration at small sizes, a
 self-contained canonical form for isomorphism testing, and graph6 I/O.
 
-The canonical form is the least leaf certificate of an individualization-
-refinement tree.  Automorphisms found at equal leaves prune the tree as in
-McKay and Piperno, "Practical graph isomorphism, II" (J. Symb. Comput. 60,
-2014) and Hartke and Radcliffe, "McKay's canonical graph labeling algorithm"
-(2009): only one child per orbit of the prefix's pointwise stabilizer is
-searched, and a branch that an automorphism maps onto a searched one is
-left at once.  The pruned branches hold the same certificates as the kept
-ones, so the bytes are those of the full tree, and graphs with large
-automorphism groups (Turan graphs, disjoint unions of cycles) label quickly.
+The canonical form is the least leaf certificate of an
+individualization-refinement tree, whose leaves are the partitions that
+refinement finds homogeneous (discrete ones included).  Automorphisms found
+at equal leaves prune the tree as in McKay and Piperno, "Practical graph
+isomorphism, II" (J. Symb. Comput. 60, 2014) and Hartke and Radcliffe,
+"McKay's canonical graph labeling algorithm" (2009): only one child per
+orbit of the prefix's pointwise stabilizer is searched, and a branch that an
+automorphism maps onto a searched one is left at once.  The pruned branches
+hold the same certificates as the kept ones, so the bytes are those of the
+full tree, and graphs with large automorphism groups (Turan graphs, disjoint
+unions of cycles) label quickly.
 """
 
 from __future__ import annotations
@@ -263,6 +265,9 @@ def blowup(graph: Graph, s: int) -> Graph:
 def subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
     """Induced subgraph on the given vertices, relabeled in the order supplied."""
     verts = list(vertices)
+    for v in verts:
+        if not 0 <= v < graph.n:
+            raise ValueError(f"vertex {v} outside range(0, {graph.n})")
     index = {v: i for i, v in enumerate(verts)}
     if len(index) != len(verts):
         raise ValueError("duplicate vertices")
@@ -293,6 +298,9 @@ def add_edge(graph: Graph, u: int, v: int) -> Graph:
     """Copy of ``graph`` with edge uv added (idempotent)."""
     if u == v:
         raise ValueError("loop edge")
+    for w in (u, v):
+        if not 0 <= w < graph.n:
+            raise ValueError(f"vertex {w} outside range(0, {graph.n})")
     rows = list(graph.adj)
     rows[u] |= 1 << v
     rows[v] |= 1 << u
@@ -417,10 +425,17 @@ def proper_partitions(graph: Graph, k: int) -> Iterator[VertexPartition]:
 # ---------------------------------------------------------------------------
 # canonical forms
 
-def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
-    """Equitable refinement; cells split by neighbor counts, ordered invariantly."""
+def _refine(adj: tuple[int, ...], cells: list[int]) -> tuple[list[int], bool]:
+    """Equitable refinement; cells split by neighbor counts, ordered invariantly.
+
+    The flag returned with the cells says whether adjacency depends only on
+    cell membership.  It is read off the last round's signatures: a cell's
+    count in each cell c must be 0 or |c|, less one in its own cell.
+    Singletons follow by equitability, so a discrete partition is homogeneous.
+    """
     while True:
         changed = False
+        homogeneous = True
         out: list[int] = []
         for cell in cells:
             if cell & (cell - 1) == 0:
@@ -433,28 +448,18 @@ def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
                 groups[sig] = groups.get(sig, 0) | (1 << v)
             if len(groups) == 1:
                 out.append(cell)
+                if homogeneous and not changed:
+                    homogeneous = all(
+                        k == 0 or k == c.bit_count() - (c == cell)
+                        for k, c in zip(sig, cells)
+                    )
             else:
                 changed = True
                 for sig in sorted(groups, reverse=True):
                     out.append(groups[sig])
         cells = out
         if not changed:
-            return cells
-
-
-def _is_homogeneous(adj: tuple[int, ...], cells: list[int]) -> bool:
-    """True when adjacency depends only on cell membership (all-or-nothing)."""
-    sizes = [c.bit_count() for c in cells]
-    for i, ci in enumerate(cells):
-        inner = sum((adj[v] & ci).bit_count() for v in _bits(ci))
-        if inner not in (0, sizes[i] * (sizes[i] - 1)):
-            return False
-        for j in range(i + 1, len(cells)):
-            cj = cells[j]
-            cross = sum((adj[v] & cj).bit_count() for v in _bits(ci))
-            if cross not in (0, sizes[i] * sizes[j]):
-                return False
-    return True
+            return cells, homogeneous
 
 
 def _leaf_bytes(adj: tuple[int, ...], labeling: list[int]) -> bytes:
@@ -490,10 +495,11 @@ def _join_cycles(parent: list[int], cell: int, gamma: list[int]) -> None:
 def _canonical_search(adj: tuple[int, ...], n: int) -> tuple[bytes, list[int]]:
     """Least leaf certificate of the search tree, with the first labeling reaching it.
 
-    A tree node is an ordered partition refined by ``_refine``.  Its children
-    individualize each vertex of its first non-singleton cell in turn, and a
-    discrete or homogeneous partition is a leaf whose cell order labels the
-    graph.  The certificate of a leaf is its ``_leaf_bytes``.
+    A tree node is an ordered partition refined by ``_refine``.  It is a leaf
+    when ``_refine`` finds it homogeneous, discrete ones included, and its
+    cells in order label the graph; otherwise its children individualize
+    each vertex of its first non-singleton cell in turn.  The certificate of
+    a leaf is its ``_leaf_bytes``.
 
     Automorphisms prune the tree (McKay and Piperno, "Practical graph
     isomorphism, II", J. Symb. Comput. 60, 2014; Hartke and Radcliffe,
@@ -551,19 +557,10 @@ def _canonical_search(adj: tuple[int, ...], n: int) -> tuple[bytes, list[int]]:
 
     def descend(cells: list[int]) -> int:
         """Search below ``cells``; return the depth to resume at."""
-        cells = _refine(adj, cells)
-        target = -1
-        for idx, cell in enumerate(cells):
-            if cell & (cell - 1):
-                target = idx
-                break
-        if target < 0:
-            return leaf([c.bit_length() - 1 for c in cells])
-        if _is_homogeneous(adj, cells):
-            labeling: list[int] = []
-            for cell in cells:
-                labeling.extend(_bits(cell))
-            return leaf(labeling)
+        cells, homogeneous = _refine(adj, cells)
+        if homogeneous:
+            return leaf([v for cell in cells for v in _bits(cell)])
+        target = next(idx for idx, cell in enumerate(cells) if cell & (cell - 1))
         depth = len(path)
         cell = cells[target]
         parent: list[int] = []

@@ -332,7 +332,7 @@ def extremal_local_search(
     rng = random.Random(cfg.seed)
     best_graph: Graph | None = None
     best = -1
-    for it in range(max(1, cfg.iterations)):
+    for it in range(cfg.iterations):
         if it % 2 == 0:
             g = _random_multipartite_seed(n, hp, rng)
         else:

@@ -257,6 +257,8 @@ def test_search_cap_maps_to_exit_3(capsys):
     assert code == 3
     code, _, _ = run_cli(capsys, "biex", "n=11", "H=K_{2,2,2}")
     assert code == 3
+    code, _, err = run_cli(capsys, "construct", "n=41", "H=K_{2,2,2}", "m=2")
+    assert code == 3 and "capped at n = 40" in err
 
 
 def test_exsearch_local_labels_symmetric_witness(capsys):

@@ -207,7 +207,7 @@ def test_lower_bound_construction_triangle_count():
 
 
 def test_lower_bound_construction_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SearchCapError):
         lower_bound_construction(50, K222, 2)  # n too large
     with pytest.raises(ValueError):
         lower_bound_construction(10, K222, 4)  # m > r + 1

@@ -12,6 +12,8 @@ import brutes
 from turanext.graphs import (
     Graph,
     VertexPartition,
+    _refine,
+    add_edge,
     anchored_turan_graph,
     blowup,
     canonical_form,
@@ -73,6 +75,21 @@ def test_graph_from_edges_rejects_out_of_range():
         graph_from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         graph_from_edges(3, [(1, 1)])
+
+
+@pytest.mark.parametrize(
+    "vertices, bad",
+    [([-1], -1), ([-1, 2], -1), ([5], 5), ([0, 3], 3)],
+)
+def test_subgraph_rejects_out_of_range_vertices(vertices, bad):
+    with pytest.raises(ValueError, match=f"vertex {bad} outside"):
+        subgraph(path_graph(3), vertices)
+
+
+@pytest.mark.parametrize("u, v, bad", [(0, 5, 5), (-1, 1, -1), (3, 0, 3)])
+def test_add_edge_rejects_out_of_range_vertices(u, v, bad):
+    with pytest.raises(ValueError, match=f"vertex {bad} outside"):
+        add_edge(path_graph(3), u, v)
 
 
 def test_basic_accessors():
@@ -290,6 +307,39 @@ def test_canonical_labeling_handles_large_automorphism_groups(g):
     h = relabel(g, brutes.random_permutation(rng, g.n))
     assert canonical_form(h) == canonical_form(g)
     assert canonical_graph(h) == canonical_graph(g)
+
+
+def _assert_refine_flags_homogeneity(g: Graph) -> None:
+    """Check the flag of ``_refine`` against the oracle at each node on a path.
+
+    The path starts at the unit partition and at each single-vertex
+    individualization, and individualizes the first vertex of the first
+    non-singleton cell until the partition is discrete.  A flag that is too
+    strict changes only speed, so the output tests cannot see it.
+    """
+    full = (1 << g.n) - 1
+    starts = [[full]] + [[1 << v, full ^ (1 << v)] for v in range(g.n) if g.n > 1]
+    for cells in starts:
+        while True:
+            cells, homogeneous = _refine(g.adj, cells)
+            assert homogeneous == brutes._oracle_homogeneous(g.adj, cells), cells
+            split = [i for i, c in enumerate(cells) if c & (c - 1)]
+            if not split:
+                break
+            t = split[0]
+            low = cells[t] & -cells[t]
+            cells = cells[:t] + [low, cells[t] ^ low] + cells[t + 1 :]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_refine_flags_homogeneity_on_all_graphs(n):
+    for g in brutes.all_graphs(n):
+        _assert_refine_flags_homogeneity(g)
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_CORPUS))
+def test_refine_flags_homogeneity_on_symmetric_graphs(name):
+    _assert_refine_flags_homogeneity(SYMMETRIC_CORPUS[name])
 
 
 def test_isomorphism_spot_pairs():
