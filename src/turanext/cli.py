@@ -18,7 +18,9 @@ import os
 import sys
 import tempfile
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 from . import __version__, analytic, closedform, counting, graphs, search
 from . import family as family_mod
@@ -28,7 +30,8 @@ from .errors import ConfigError, InternalCheckError, SearchCapError
 from .shorthand import parse_graph
 
 _FORMATS = ("csv", "json")
-_RESERVED_KEYS = ("command", "output", "format", "export")
+# report options a config file may set; the matching --flag wins over it
+_ROUTED = ("output", "format", "export")
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +80,17 @@ class ParamReader:
             raise ConfigError(f"missing required parameter {key!r}")
         return None
 
+    def _parsed(
+        self, key: str, default: object, parse: Callable[[str], Any], what: str
+    ) -> Any:
+        raw = self._pop(key, default)
+        if raw is None:
+            return default
+        try:
+            return parse(raw)
+        except ValueError:
+            raise ConfigError(f"parameter {key}={raw!r} is not {what}") from None
+
     def int_(
         self,
         key: str,
@@ -84,14 +98,7 @@ class ParamReader:
         *,
         minimum: int | None = None,
     ) -> int:
-        raw = self._pop(key, default)
-        if raw is None:
-            value = default
-        else:
-            try:
-                value = int(raw, 10)
-            except ValueError:
-                raise ConfigError(f"parameter {key}={raw!r} is not an integer") from None
+        value = self._parsed(key, default, lambda raw: int(raw, 10), "an integer")
         assert isinstance(value, int)
         if minimum is not None and value < minimum:
             raise ConfigError(f"parameter {key}={value} must be >= {minimum}")
@@ -99,14 +106,7 @@ class ParamReader:
         return value
 
     def float_(self, key: str, default: object = _REQUIRED) -> float:
-        raw = self._pop(key, default)
-        if raw is None:
-            value = float(default)  # type: ignore[arg-type]
-        else:
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ConfigError(f"parameter {key}={raw!r} is not a number") from None
+        value = float(self._parsed(key, default, float, "a number"))
         self.resolved[key] = repr(value)
         return value
 
@@ -447,31 +447,18 @@ def _cmd_verify(suite: str) -> CommandOutput:
     return CommandOutput(rows, exit_code=1 if failed else 0)
 
 
-_HANDLERS = {
-    "count": _cmd_count,
-    "turan": _cmd_turan,
-    "f-eval": _cmd_f_eval,
-    "decomp": _cmd_decomp,
-    "biex": _cmd_biex,
-    "construct": _cmd_construct,
-    "exsearch": _cmd_exsearch,
-    "multipartite": _cmd_multipartite,
-    "classify": _cmd_classify,
-    "analytic-sweep": _cmd_analytic_sweep,
-}
-
-_COMMAND_HELP = {
-    "count": "count copies of a pattern in a host graph",
-    "turan": "clique counts and edge counts of balanced multipartite graphs",
-    "f-eval": "closed-form degree count of the anchored construction",
-    "decomp": "decomposition family of a graph with chromatic number >= 3",
-    "biex": "exact forbidden-family edge maximum at small n",
-    "construct": "overlay lower-bound construction and its clique count",
-    "exsearch": "exact or local search for extremal graphs",
-    "multipartite": "exact pattern maximum over complete multipartite hosts",
-    "classify": "balance/imbalance classification of a parameter triple",
-    "analytic-sweep": "tabulate an analytic quantity over a grid",
-    "verify": "run acceptance suites (exit 1 on any failure)",
+_COMMANDS = {
+    "count": (_cmd_count, "count copies of a pattern in a host graph"),
+    "turan": (_cmd_turan, "clique counts and edge counts of balanced multipartite graphs"),
+    "f-eval": (_cmd_f_eval, "closed-form degree count of the anchored construction"),
+    "decomp": (_cmd_decomp, "decomposition family of a graph with chromatic number >= 3"),
+    "biex": (_cmd_biex, "exact forbidden-family edge maximum at small n"),
+    "construct": (_cmd_construct, "overlay lower-bound construction and its clique count"),
+    "exsearch": (_cmd_exsearch, "exact or local search for extremal graphs"),
+    "multipartite": (_cmd_multipartite, "exact pattern maximum over complete multipartite hosts"),
+    "classify": (_cmd_classify, "balance/imbalance classification of a parameter triple"),
+    "analytic-sweep": (_cmd_analytic_sweep, "tabulate an analytic quantity over a grid"),
+    "verify": (_cmd_verify, "run acceptance suites (exit 1 on any failure)"),
 }
 
 
@@ -522,9 +509,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact-computation workbench for generalized extremal graph counts.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name in (*_HANDLERS, "verify"):
-        p = sub.add_parser(name, help=_COMMAND_HELP[name])
-        if name == "verify":
+    for name, (handler, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if handler is _cmd_verify:
             p.add_argument(
                 "suite",
                 nargs="?",
@@ -557,37 +544,29 @@ def _merged_params(args: argparse.Namespace) -> dict[str, str]:
             f"config says command={merged['command']!r} but {args.command!r} was invoked"
         )
     merged.pop("command", None)
-    if args.output is None:
-        args.output = merged.pop("output", None)
-    else:
-        merged.pop("output", None)
-    if args.format is None:
-        fmt = merged.pop("format", None)
-        if fmt is not None and fmt not in _FORMATS:
-            raise ConfigError(f"format={fmt!r} must be one of {', '.join(_FORMATS)}")
-        args.format = fmt
-    else:
-        merged.pop("format", None)
-    if args.export is None:
-        args.export = merged.pop("export", None)
-    else:
-        merged.pop("export", None)
+    for key in _ROUTED:
+        value = merged.pop(key, None)
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    if args.format not in (None, *_FORMATS):
+        raise ConfigError(f"format={args.format!r} must be one of {', '.join(_FORMATS)}")
     return merged
 
 
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
+    handler, _ = _COMMANDS[args.command]
     start = time.perf_counter()
-    if args.command == "verify":
-        if args.config or getattr(args, "params", None):
+    if handler is _cmd_verify:
+        if args.config:
             raise ConfigError("verify takes a suite name, not parameters")
-        out = _cmd_verify(args.suite)
+        out = handler(args.suite)
         resolved = {"suite": args.suite}
     else:
         # _merged_params may also route output/format/export from the config
         reader = ParamReader(_merged_params(args))
-        out = _HANDLERS[args.command](reader)
+        out = handler(reader)
         resolved = reader.resolved
     fmt = args.format if args.format is not None else "csv"
     elapsed = time.perf_counter() - start

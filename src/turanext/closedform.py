@@ -218,7 +218,7 @@ def multipartite_pattern_count(parts: Composition, p: Params) -> int:
     if p.s == p.t:
         copies, rem = divmod(g, p.r)
         if rem:
-            raise ArithmeticError("pointed count not divisible by part count")
+            raise InternalCheckError("pointed count not divisible by part count")
         return copies
     return g
 
@@ -252,7 +252,7 @@ def anchored_degree_count(p: Params, a: int, n: int) -> int:
     term_s = math.comb(n - 1 - a, p.s - 1) * turan_kst_count(a, mixed)
     total = p.weight * (term_t + term_s)
     if total.denominator != 1:
-        raise ArithmeticError("anchored degree count is not an integer")
+        raise InternalCheckError("anchored degree count is not an integer")
     return int(total)
 
 

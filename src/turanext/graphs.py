@@ -42,15 +42,19 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_vertex_count(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+
+
 class Graph:
     """Immutable undirected graph; ``adj[v]`` is the neighbor bitset of vertex v."""
 
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Iterable[int]):
+        _check_vertex_count(n)
         rows = tuple(adj)
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
         if len(rows) != n:
             raise ValueError("adjacency row count does not match vertex count")
         full = (1 << n) - 1
@@ -74,8 +78,13 @@ class Graph:
         g.adj = rows
         return g
 
+    def _vertex(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside range(0, {self.n})")
+        return v
+
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return self.adj[self._vertex(v)].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.adj)
@@ -84,7 +93,7 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
+        return bool((self.adj[self._vertex(u)] >> self._vertex(v)) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v."""
@@ -169,10 +178,12 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def empty_graph(n: int) -> Graph:
+    _check_vertex_count(n)
     return Graph(n, (0,) * n)
 
 
 def complete_graph(n: int) -> Graph:
+    _check_vertex_count(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -180,11 +191,12 @@ def complete_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return graph_from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    # a generator, so graph_from_edges rejects a large n before any edge is made
+    return graph_from_edges(n, ((v, (v + 1) % n) for v in range(n)))
 
 
 def path_graph(n: int) -> Graph:
-    return graph_from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    return graph_from_edges(n, ((v, v + 1) for v in range(n - 1)))
 
 
 def _blocks_graph(sizes: Iterable[int]) -> Graph:
@@ -264,10 +276,7 @@ def blowup(graph: Graph, s: int) -> Graph:
 
 def subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
     """Induced subgraph on the given vertices, relabeled in the order supplied."""
-    verts = list(vertices)
-    for v in verts:
-        if not 0 <= v < graph.n:
-            raise ValueError(f"vertex {v} outside range(0, {graph.n})")
+    verts = [graph._vertex(v) for v in vertices]
     index = {v: i for i, v in enumerate(verts)}
     if len(index) != len(verts):
         raise ValueError("duplicate vertices")
@@ -299,8 +308,7 @@ def add_edge(graph: Graph, u: int, v: int) -> Graph:
     if u == v:
         raise ValueError("loop edge")
     for w in (u, v):
-        if not 0 <= w < graph.n:
-            raise ValueError(f"vertex {w} outside range(0, {graph.n})")
+        graph._vertex(w)
     rows = list(graph.adj)
     rows[u] |= 1 << v
     rows[v] |= 1 << u
@@ -559,6 +567,8 @@ def _canonical_search(adj: tuple[int, ...], n: int) -> tuple[bytes, list[int]]:
         """Search below ``cells``; return the depth to resume at."""
         cells, homogeneous = _refine(adj, cells)
         if homogeneous:
+            if len(cells) == n:
+                return leaf([cell.bit_length() - 1 for cell in cells])
             return leaf([v for cell in cells for v in _bits(cell)])
         target = next(idx for idx, cell in enumerate(cells) if cell & (cell - 1))
         depth = len(path)

@@ -288,7 +288,7 @@ def _climb(
         zero_moves: list[Graph] = []
         advanced = False
         for u, v in slots:
-            if g.has_edge(u, v):
+            if (g.adj[u] >> v) & 1:  # slots are in range: skip has_edge's checks
                 delta = -_copies_through_edge(g, u, v, t)
                 cand = _toggle(g, u, v)
             else:

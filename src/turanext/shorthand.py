@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     complete_graph,
     complete_multipartite,
@@ -37,7 +38,11 @@ def parse_graph(text: str) -> Graph:
         r, small, big = (int(m.group(i)) for i in (1, 2, 3))
         if r < 1:
             raise ValueError("need at least one part")
-        return complete_multipartite((small,) * (r - 1) + (big,))
+        if min(small, big) >= 1 and (n := (r - 1) * small + big) > MAX_VERTICES:
+            raise ValueError(f"total vertex count {n} exceeds {MAX_VERTICES}")
+        # Past that check more than MAX_VERTICES parts means an empty part,
+        # which complete_multipartite rejects from the first ones alone.
+        return complete_multipartite((small,) * min(r - 1, MAX_VERTICES) + (big,))
     if m := _CYCLE.match(s):
         return cycle_graph(int(m.group(1)))
     if m := _PATH.match(s):

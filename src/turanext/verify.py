@@ -1,6 +1,7 @@
 """Desk-scale verification suites behind ``verify`` and the acceptance tests.
 
-Each criterion gets one function returning a CriterionResult; the functions
+Each criterion gets one function returning its failure lines and its info
+lines; ``run_criterion`` turns them into a CriterionResult.  The functions
 are deliberately heavy on cross-checks that do NOT reuse the code under
 test: a vectorized sweep over all labeled 7-vertex graphs, a self-contained
 labeled branch search for 4-cycle-free edge maxima, embedding-based oracles
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -26,6 +28,10 @@ class CriterionResult:
     lines: list[str] = field(default_factory=list)
 
 
+#: A check's failure lines (none means it passed), then lines reported either way.
+Outcome = tuple[list[str], list[str]]
+
+
 def _fail_cap(fails: list[str], cap: int = 8) -> list[str]:
     if len(fails) <= cap:
         return fails
@@ -36,7 +42,7 @@ def _fail_cap(fails: list[str], cap: int = 8) -> list[str]:
 # 1. exact clique maxima against the closed form, with unique balanced witnesses
 
 
-def check_turan_exact() -> CriterionResult:
+def check_turan_exact() -> Outcome:
     fails: list[str] = []
     cases = 0
     for r in range(2, 5):
@@ -58,8 +64,7 @@ def check_turan_exact() -> CriterionResult:
                     )
                 elif not graphs.is_isomorphic(res.witnesses[0], balanced):
                     fails.append(f"(n={n}, m={m}, r={r}): witness not balanced")
-    lines = _fail_cap(fails) + [f"{cases} (n, m, r) instances checked"]
-    return CriterionResult("turan-exact", not fails, lines)
+    return fails, [f"{cases} (n, m, r) instances checked"]
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +80,7 @@ def _popcount_u32(x):
     return ((x * np.uint32(0x01010101)) >> np.uint32(24)).astype(np.uint8)
 
 
-def check_eckhoff() -> CriterionResult:
+def check_eckhoff() -> Outcome:
     import numpy as np
 
     n = 7
@@ -132,18 +137,17 @@ def check_eckhoff() -> CriterionResult:
         if counting.clique_number(g) != int(omega[idx]):
             fails.append(f"mask {idx}: clique number mismatch")
 
-    lines = _fail_cap(fails) + [
+    return fails, [
         f"all {total} labeled 7-vertex graphs checked for m in (2, 3); "
         "200 pipeline spot-checks against the package counters"
     ]
-    return CriterionResult("eckhoff", not fails, lines)
 
 
 # ---------------------------------------------------------------------------
 # 3. the count-step identity across the full desk grid
 
 
-def check_count_step() -> CriterionResult:
+def check_count_step() -> Outcome:
     fails: list[str] = []
     cases = 0
     for r in range(2, 6):
@@ -154,15 +158,14 @@ def check_count_step() -> CriterionResult:
                     cases += 1
                     if not closedform.check_count_step_identity(p, n):
                         fails.append(f"(r={r}, s={s}, t={t}, n={n})")
-    lines = _fail_cap(fails) + [f"{cases} identity instances checked"]
-    return CriterionResult("count-step", not fails, lines)
+    return fails, [f"{cases} identity instances checked"]
 
 
 # ---------------------------------------------------------------------------
 # 4. anchored degree count against the embedding counter
 
 
-def check_anchored_degree() -> CriterionResult:
+def check_anchored_degree() -> Outcome:
     fails: list[str] = []
     cases = 0
     for r in range(2, 4):
@@ -183,15 +186,14 @@ def check_anchored_degree() -> CriterionResult:
                                 f"(r={r}, s={s}, t={t}, a={a}, n={n}): "
                                 f"closed {want} != counted {got}"
                             )
-    lines = _fail_cap(fails) + [f"{cases} (p, a, n) instances checked"]
-    return CriterionResult("anchored-degree", not fails, lines)
+    return fails, [f"{cases} (p, a, n) instances checked"]
 
 
 # ---------------------------------------------------------------------------
 # 5. balanced compositions win uniquely in the balanced regime
 
 
-def check_multipartite_balance() -> CriterionResult:
+def check_multipartite_balance() -> Outcome:
     fails: list[str] = []
     cases = 0
     for s, t in ((1, 1), (1, 2), (2, 3)):
@@ -206,15 +208,14 @@ def check_multipartite_balance() -> CriterionResult:
                     fails.append(
                         f"(r={r}, s={s}, t={t}, n={n}): got {comp}, unique={unique}"
                     )
-    lines = _fail_cap(fails) + [f"{cases} (p, n) instances checked"]
-    return CriterionResult("multipartite-balance", not fails, lines)
+    return fails, [f"{cases} (p, n) instances checked"]
 
 
 # ---------------------------------------------------------------------------
 # 6. the threshold pair: offset location and gain magnitude
 
 
-def check_boundary_offset() -> CriterionResult:
+def check_boundary_offset() -> Outcome:
     p = Params(2, 1, 3)
     fails: list[str] = []
     lines: list[str] = []
@@ -239,14 +240,14 @@ def check_boundary_offset() -> CriterionResult:
             lines.append(f"n=800: gain ratio {ratio:.4f} (window [0.6, 1.4])")
             if not 0.6 <= ratio <= 1.4:
                 fails.append(f"n=800: gain ratio {ratio:.4f} outside [0.6, 1.4]")
-    return CriterionResult("boundary-offset", not fails, _fail_cap(fails) + lines)
+    return fails, lines
 
 
 # ---------------------------------------------------------------------------
 # 7. strictly-unbalanced regime beats balanced by a constant factor
 
 
-def check_case_c_gain() -> CriterionResult:
+def check_case_c_gain() -> Outcome:
     p = Params(2, 1, 4)
     n = 500
     best = max(
@@ -254,20 +255,17 @@ def check_case_c_gain() -> CriterionResult:
         for a in range(1, n // 2 + 1)
     )
     balanced = closedform.turan_kst_count(n, p)
-    ok = best * 100 >= 101 * balanced
-    lines = [
-        f"n={n}: best/balanced = {best / balanced:.4f} (floor 1.01)",
-    ]
-    if not ok:
-        lines.insert(0, f"max {best} < 1.01 * balanced {balanced}")
-    return CriterionResult("case-c-gain", ok, lines)
+    fails = []
+    if best * 100 < 101 * balanced:
+        fails.append(f"max {best} < 1.01 * balanced {balanced}")
+    return fails, [f"n={n}: best/balanced = {best / balanced:.4f} (floor 1.01)"]
 
 
 # ---------------------------------------------------------------------------
 # 8. profile curvature: numeric differentiation against the closed form
 
 
-def check_curvature() -> CriterionResult:
+def check_curvature() -> Outcome:
     fails: list[str] = []
     cases = 0
     for r in range(2, 5):
@@ -285,15 +283,14 @@ def check_curvature() -> CriterionResult:
                     fails.append(
                         f"(r={r}, s={s}, t={t}): closed {closed}, numeric {numeric:.6f}"
                     )
-    lines = _fail_cap(fails) + [f"{cases} curvature comparisons"]
-    return CriterionResult("curvature", not fails, lines)
+    return fails, [f"{cases} curvature comparisons"]
 
 
 # ---------------------------------------------------------------------------
 # 9. the exact rational transfer identity on fixed-seed random tuples
 
 
-def check_transfer_identity() -> CriterionResult:
+def check_transfer_identity() -> Outcome:
     rng = random.Random(64)
     fails: list[str] = []
     for i in range(500):
@@ -306,15 +303,14 @@ def check_transfer_identity() -> CriterionResult:
         p = Params(r, s, t)
         if not analytic.transfer_identity_check(parts, p):
             fails.append(f"tuple {i}: parts={parts}, (r={r}, s={s}, t={t})")
-    lines = _fail_cap(fails) + ["500 fixed-seed tuples checked exactly"]
-    return CriterionResult("transfer-identity", not fails, lines)
+    return fails, ["500 fixed-seed tuples checked exactly"]
 
 
 # ---------------------------------------------------------------------------
 # 10. convergence audits for the two asymptotic expansions
 
 
-def check_convergence() -> CriterionResult:
+def check_convergence() -> Outcome:
     fails: list[str] = []
     lines: list[str] = []
     triples = ((2, 1, 2), (3, 2, 3), (2, 2, 3))
@@ -351,7 +347,7 @@ def check_convergence() -> CriterionResult:
                         f"scaled residuals {ys} vary by more than 10%"
                     )
                     break
-    return CriterionResult("convergence", not fails, _fail_cap(fails) + lines)
+    return fails, lines
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +402,7 @@ def _labeled_c4_free_max_edges(n: int) -> int:
     return best
 
 
-def check_family_biex() -> CriterionResult:
+def check_family_biex() -> Outcome:
     fails: list[str] = []
     lines: list[str] = []
     k2 = graphs.complete_graph(2)
@@ -449,14 +445,14 @@ def check_family_biex() -> CriterionResult:
             if value < n - 1:
                 fails.append(f"{label}: excess {value} < n-1 at n={n}")
     lines.append("star lower bound verified on the 3-graph battery for 4 <= n <= 8")
-    return CriterionResult("family-biex", not fails, _fail_cap(fails) + lines)
+    return fails, lines
 
 
 # ---------------------------------------------------------------------------
 # 12. the overlay construction stays forbidden-free and beats the bare base
 
 
-def check_construction() -> CriterionResult:
+def check_construction() -> Outcome:
     fails: list[str] = []
     k222 = graphs.complete_multipartite((2, 2, 2))
     for n in range(8, 17):
@@ -468,41 +464,41 @@ def check_construction() -> CriterionResult:
             fails.append(f"n={n}: {g.edge_count()} edges, need >= {base + 1}")
         if count != g.edge_count():
             fails.append(f"n={n}: reported count {count} != edges {g.edge_count()}")
-    lines = _fail_cap(fails) + ["construction audited for 8 <= n <= 16"]
-    return CriterionResult("construction", not fails, lines)
+    return fails, ["construction audited for 8 <= n <= 16"]
 
 
 # ---------------------------------------------------------------------------
 # registry
 
-_REGISTRY: list[tuple[str, object]] = [
-    ("turan-exact", check_turan_exact),
-    ("eckhoff", check_eckhoff),
-    ("count-step", check_count_step),
-    ("anchored-degree", check_anchored_degree),
-    ("multipartite-balance", check_multipartite_balance),
-    ("boundary-offset", check_boundary_offset),
-    ("case-c-gain", check_case_c_gain),
-    ("curvature", check_curvature),
-    ("transfer-identity", check_transfer_identity),
-    ("convergence", check_convergence),
-    ("family-biex", check_family_biex),
-    ("construction", check_construction),
-]
+_REGISTRY: dict[str, Callable[[], Outcome]] = {
+    "turan-exact": check_turan_exact,
+    "eckhoff": check_eckhoff,
+    "count-step": check_count_step,
+    "anchored-degree": check_anchored_degree,
+    "multipartite-balance": check_multipartite_balance,
+    "boundary-offset": check_boundary_offset,
+    "case-c-gain": check_case_c_gain,
+    "curvature": check_curvature,
+    "transfer-identity": check_transfer_identity,
+    "convergence": check_convergence,
+    "family-biex": check_family_biex,
+    "construction": check_construction,
+}
 
 
 def suite_names() -> list[str]:
-    return [name for name, _ in _REGISTRY]
+    return list(_REGISTRY)
 
 
 def run_criterion(name: str) -> CriterionResult:
-    for key, fn in _REGISTRY:
-        if key == name:
-            return fn()
-    raise ValueError(f"unknown verify suite {name!r}; know {suite_names() + ['all']}")
+    check = _REGISTRY.get(name)
+    if check is None:
+        raise ValueError(f"unknown verify suite {name!r}; know {suite_names() + ['all']}")
+    fails, info = check()
+    return CriterionResult(name, not fails, _fail_cap(fails) + info)
 
 
 def run_suite(name: str) -> list[CriterionResult]:
     if name == "all":
-        return [fn() for _, fn in _REGISTRY]
+        return [run_criterion(key) for key in _REGISTRY]
     return [run_criterion(name)]

@@ -224,6 +224,41 @@ def test_config_can_route_output(capsys, tmp_path):
     assert json.loads(target.read_text())["rows"][0]["count"] == "12"
 
 
+def test_config_format_must_be_known(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 7\nr = 3\nm = 3\nformat = xml\n")
+    code, out, err = run_cli(capsys, "turan", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "turanext: config error: format='xml' must be one of csv, json\n"
+
+
+def test_config_can_route_export(capsys, tmp_path):
+    export = tmp_path / "witnesses.g6"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 6\nT = K3\nH = K4\nexport = {export}\n")
+    code, out, _ = run_cli(capsys, "exsearch", "--config", str(cfg))
+    comments, (row,) = parse_csv(out)
+    assert code == 0 and not any("export" in line for line in comments)
+    assert export.read_text().split() == [row["witness_graph6"]]
+
+
+def test_flags_beat_routed_config_values(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"n = 6\nT = K3\nH = K4\nformat = csv\n"
+        f"output = {tmp_path / 'cfg.out'}\nexport = {tmp_path / 'cfg.g6'}\n"
+    )
+    report, export = tmp_path / "flag.json", tmp_path / "flag.g6"
+    code, out, _ = run_cli(
+        capsys, "exsearch", "--config", str(cfg),
+        "--output", str(report), "--format", "json", "--export", str(export),
+    )
+    assert (code, out) == (0, "")
+    (row,) = json.loads(report.read_text())["rows"]
+    assert export.read_text().split() == [row["witness_graph6"]]
+    assert not (tmp_path / "cfg.out").exists() and not (tmp_path / "cfg.g6").exists()
+
+
 def test_config_syntax_errors(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("n 7\n")
@@ -259,6 +294,15 @@ def test_search_cap_maps_to_exit_3(capsys):
     assert code == 3
     code, _, err = run_cli(capsys, "construct", "n=41", "H=K_{2,2,2}", "m=2")
     assert code == 3 and "capped at n = 40" in err
+
+
+def test_non_exact_division_maps_to_exit_4(capsys, monkeypatch):
+    from turanext import closedform
+
+    monkeypatch.setattr(closedform, "pointed_pattern_count", lambda parts, p: 7)
+    code, out, err = run_cli(capsys, "multipartite", "n=6", "r=2", "s=2", "t=2")
+    assert (code, out) == (4, "")
+    assert err.startswith("turanext: internal check failed: ")
 
 
 def test_exsearch_local_labels_symmetric_witness(capsys):

@@ -178,6 +178,19 @@ def test_anchored_degree_count_validation():
         anchored_degree_count(Params(2, 1, 1), 4, 4)
 
 
+def test_non_exact_divisions_raise_internal_check_error(monkeypatch):
+    from turanext import closedform
+
+    monkeypatch.setattr(closedform, "pointed_pattern_count", lambda parts, p: 7)
+    with pytest.raises(InternalCheckError, match="not divisible"):
+        multipartite_pattern_count((3, 3), Params(2, 2, 2))
+    # s = t makes both anchored terms equal; unequal ones leave half an edge
+    values = iter((1, 0))
+    monkeypatch.setattr(closedform, "turan_kst_count", lambda n, p: next(values))
+    with pytest.raises(InternalCheckError, match="not an integer"):
+        anchored_degree_count(Params(2, 1, 1), 1, 3)
+
+
 def test_count_step_identity_small_grid():
     for r in (2, 3):
         for s, t in ((1, 1), (1, 2), (2, 3)):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from turanext.graphs import (
     subgraph,
     turan_graph,
 )
+from turanext.shorthand import parse_graph
 
 
 @st.composite
@@ -90,6 +92,40 @@ def test_subgraph_rejects_out_of_range_vertices(vertices, bad):
 def test_add_edge_rejects_out_of_range_vertices(u, v, bad):
     with pytest.raises(ValueError, match=f"vertex {bad} outside"):
         add_edge(path_graph(3), u, v)
+
+
+@pytest.mark.parametrize("u, v, bad", [(-1, 1, -1), (7, 0, 7), (0, 3, 3)])
+def test_has_edge_rejects_out_of_range_vertices(u, v, bad):
+    with pytest.raises(ValueError, match=f"vertex {bad} outside"):
+        path_graph(3).has_edge(u, v)
+
+
+@pytest.mark.parametrize("v", [-1, 3])
+def test_degree_rejects_out_of_range_vertices(v):
+    with pytest.raises(ValueError, match=f"vertex {v} outside"):
+        path_graph(3).degree(v)
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [
+        (cycle_graph, 200_000),
+        (path_graph, 200_000),
+        (complete_graph, 20_000),
+        (empty_graph, 2_000_000),
+        (lambda n: parse_graph(f"K^{{{n}}}_{{1,1}}"), 2_000_000),
+    ],
+    ids=["cycle", "path", "complete", "empty", "blocks-shorthand"],
+)
+def test_generators_reject_large_n_before_allocating(make, n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"vertex count {n}"):
+            make(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_basic_accessors():
