@@ -32,6 +32,8 @@ from .shorthand import parse_graph
 _FORMATS = ("csv", "json")
 # report options a config file may set; the matching --flag wins over it
 _ROUTED = ("output", "format", "export")
+#: the most rows one analytic-sweep makes; every row is held until the output is written
+SWEEP_ROW_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +369,13 @@ def _sweep_row(p: Params, n_or_x: str, a_or_alpha: str, quantity: str, value: st
     }
 
 
+def _capped(grid: range) -> range:
+    """``grid``, once it is known to hold at most ``SWEEP_ROW_CAP`` points."""
+    if grid[SWEEP_ROW_CAP:]:
+        raise ConfigError(f"analytic-sweep grid has more than {SWEEP_ROW_CAP} points")
+    return grid
+
+
 def _cmd_analytic_sweep(reader: ParamReader) -> CommandOutput:
     quantity = reader.str_(
         "quantity",
@@ -384,7 +393,7 @@ def _cmd_analytic_sweep(reader: ParamReader) -> CommandOutput:
         amax = reader.int_("amax", (r - 1) * n // r)
         astep = reader.int_("astep", max(1, (amax - amin) // 50), minimum=1)
         reader.done()
-        for a in range(amin, amax + 1, astep):
+        for a in _capped(range(amin, amax + 1, astep)):
             err = analytic.step_ratio_error(p, a, n)
             rows.append(_sweep_row(p, str(n), str(a), quantity, repr(err)))
     elif quantity == "gain-rate":
@@ -395,7 +404,7 @@ def _cmd_analytic_sweep(reader: ParamReader) -> CommandOutput:
         reader.done()
         if not 0 < xmin <= xmax:
             raise ConfigError("need 0 < xmin <= xmax")
-        for i in range(points):
+        for i in _capped(range(points)):
             x = xmin * (xmax / xmin) ** (i / (points - 1))
             value = analytic.offset_gain_rate(x, alpha, p).value
             rows.append(_sweep_row(p, repr(x), repr(alpha), quantity, repr(value)))
@@ -405,7 +414,7 @@ def _cmd_analytic_sweep(reader: ParamReader) -> CommandOutput:
         xmax = reader.float_("xmax", 0.95 * top)
         points = reader.int_("points", 19, minimum=2)
         reader.done()
-        for i in range(points):
+        for i in _capped(range(points)):
             x = xmin + (xmax - xmin) * i / (points - 1)
             value = analytic.log_count_profile(x, p)
             rows.append(_sweep_row(p, repr(x), "", quantity, repr(value)))
@@ -416,7 +425,7 @@ def _cmd_analytic_sweep(reader: ParamReader) -> CommandOutput:
         xmax = reader.int_("xmax", xmax_default, minimum=0)
         xstep = reader.int_("xstep", max(1, (xmax - xmin) // 25), minimum=1)
         reader.done()
-        for x in range(xmin, xmax + 1, xstep):
+        for x in _capped(range(xmin, xmax + 1, xstep)):
             value = analytic.bipartite_offset_gain(n, x, p)
             rows.append(_sweep_row(p, str(n), str(x), quantity, str(value)))
     else:  # step-poly
@@ -424,7 +433,7 @@ def _cmd_analytic_sweep(reader: ParamReader) -> CommandOutput:
         zmax = reader.float_("zmax", 2.0)
         points = reader.int_("points", 21, minimum=2)
         reader.done()
-        for i in range(points):
+        for i in _capped(range(points)):
             z = zmin + (zmax - zmin) * i / (points - 1)
             value = analytic.step_ratio_poly(z, p).value
             rows.append(_sweep_row(p, repr(z), "", quantity, repr(value)))

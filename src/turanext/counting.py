@@ -1,29 +1,46 @@
 """Exact subgraph-copy counting over the bitset graphs.
 
-A *copy* of a pattern T in a host G is a subgraph of G isomorphic to T
-(not necessarily induced).  We count labeled embeddings -- injective maps
-preserving edges -- and divide by the pattern's automorphism count.  The
-division must be exact; a nonzero remainder means the embedding count
-itself is wrong, so it is promoted to an internal error rather than
-silently truncated.
+A *copy* of a pattern T in a host G is a subgraph of G isomorphic to T (not
+necessarily induced); an *embedding* is an injective map V(T) -> V(G) that
+sends edges to edges.  Every copy is the image of exactly |Aut(T)|
+embeddings.
 
 One kernel serves every count and every existence test.  ``_plan`` compiles
 a pattern into a plan: the pattern vertices in a greedy order (each new
 vertex sees as many placed neighbours as possible) from an optional prefix,
 and for each position the earlier positions adjacent to it.  ``_embed``
 backtracks along a compiled plan, pins the prefix to given host vertices,
-and stops once it has found ``limit`` embeddings.  Existence is counting
-with a limit of 1, and the through-vertex and through-edge variants sum the
-kernel over the plans of every root or every ordered pattern edge.
-``Pattern`` owns the plans and compiles each one once, on first use.  The
-candidates for a vertex are the unused host vertices adjacent to the images
-of all its placed neighbours, so every pattern edge is checked when its
-later endpoint is placed; no degree filter is needed for correctness, and
-on the dense hosts where counting is costly it prunes nothing.
+and stops once it has found ``limit`` embeddings.  ``Pattern`` owns the
+plans and compiles each one once, on first use.  The candidates for a
+vertex are the unused host vertices adjacent to the images of all its
+placed neighbours, so every pattern edge is checked when its later endpoint
+is placed; no degree filter is needed for correctness, and on the dense
+hosts where counting is costly it prunes nothing.
+
+The kernel counts copies directly, under symmetry-breaking order conditions
+(Grochow and Kellis, RECOMB 2007).  ``Pattern`` walks a stabilizer chain once,
+along its plan order: for each vertex a, the orbit of a under the
+automorphisms that fix every earlier vertex, found by existence tests of T
+in itself with those vertices pinned.  Asking f(a) < f(b) for every other
+member b of that orbit leaves exactly one embedding f per copy.  A plan
+carries these conditions per position, and the kernel masks each position's
+candidates with them, pinned positions included.  So a copy count divides
+nothing: the embedding counts are copy counts times |Aut(T)|, and |Aut(T)|
+is the product of the chain's orbit sizes (orbit-stabilizer), so Aut(T) is
+never enumerated.  The through-vertex and through-edge counts sum the kernel
+over the plans of every root or every ordered pattern edge: the one
+conditioned embedding of a copy through v sends exactly one root to v.
+
+Existence tests use the plans without conditions and stop at the first
+embedding, which conditions could only delay.  Through a vertex or an edge
+they try one root or ordered edge per automorphism orbit: composing with an
+automorphism moves any embedding through v onto that orbit's representative.
 
 ``critical_masks`` serves the exhaustive search's freeness filter with its
 own recursion over a plan of t - v, one v per automorphism orbit, which
-records where the neighbours of v land instead of counting.
+records where the neighbours of v land instead of counting.  It keeps one
+embedding per orbit of the automorphisms fixing v, which all map the
+neighbours of v onto the same host set.
 
 All counts are Python ints and therefore exact at every size we accept.
 """
@@ -31,15 +48,30 @@ All counts are Python ints and therefore exact at every size we accept.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import groupby
+from math import prod
+from typing import NamedTuple, Sequence
 
-from .errors import InternalCheckError
 from .graphs import Graph, _bits, subgraph
 
 PATTERN_CAP = 16
 
-#: a compiled backtracking plan: for each position, the earlier positions
-#: it is adjacent to (positions are indices into the vertex order)
-Plan = list[list[int]]
+
+class Plan(NamedTuple):
+    """A compiled backtracking plan.  Positions index ``order``; per position,
+    ``back`` lists the earlier positions adjacent to it, ``under`` the earlier
+    positions whose host image must lie below its own and ``over`` those whose
+    host image must lie above it."""
+
+    order: tuple[int, ...]
+    back: list[list[int]]
+    under: Sequence[Sequence[int]]
+    over: Sequence[Sequence[int]]
+
+
+#: per vertex a in plan order: a and the rest of its orbit under the
+#: automorphisms that fix every earlier vertex
+Chain = tuple[tuple[int, tuple[int, ...]], ...]
 
 
 class Pattern:
@@ -55,33 +87,62 @@ class Pattern:
     @cached_property
     def plan(self) -> Plan:
         """Plan of the whole pattern, from a maximum-degree vertex."""
-        return _plan(self.graph)[1]
+        return _plan(self.graph)
 
     @cached_property
     def root_plans(self) -> tuple[Plan, ...]:
         """Plan starting at vertex r, for every r."""
-        return tuple(_plan(self.graph, (r,))[1] for r in range(self.graph.n))
+        return tuple(_plan(self.graph, (r,)) for r in range(self.graph.n))
 
     @cached_property
     def edge_plans(self) -> tuple[Plan, ...]:
         """Plan starting at (x, y) and at (y, x), for every edge xy."""
         t = self.graph
-        return tuple(_plan(t, p)[1] for x, y in t.edges() for p in ((x, y), (y, x)))
+        return tuple(_plan(t, p) for x, y in t.edges() for p in ((x, y), (y, x)))
+
+    @cached_property
+    def chain(self) -> Chain:
+        """The stabilizer chain along the order of ``plan``."""
+        return _stabilizer_chain(self.graph, self.plan)
 
     @cached_property
     def aut_count(self) -> int:
-        return _embed(self.graph, self.plan)
+        """|Aut(t)|: the product of the chain's orbit sizes."""
+        return prod(len(orbit) + 1 for _, orbit in self.chain)
+
+    @cached_property
+    def conditions(self) -> list[tuple[int, int]]:
+        """Pairs (a, b): a counted embedding f has f(a) < f(b)."""
+        return _condition_pairs(self.chain)
+
+    @cached_property
+    def copy_plan(self) -> Plan:
+        return _conditioned(self.plan, self.conditions)
+
+    @cached_property
+    def copy_root_plans(self) -> tuple[Plan, ...]:
+        return tuple(_conditioned(p, self.conditions) for p in self.root_plans)
+
+    @cached_property
+    def copy_edge_plans(self) -> tuple[Plan, ...]:
+        return tuple(_conditioned(p, self.conditions) for p in self.edge_plans)
 
     @cached_property
     def orbit_reps(self) -> tuple[int, ...]:
         """The lowest vertex of every automorphism orbit, ascending."""
-        t = self.graph
-        reps: list[int] = []
-        for u in range(t.n):
-            # an embedding of t into itself sending u to r is an automorphism
-            if not any(_embed(t, self.root_plans[u], (r,), limit=1) for r in reps):
-                reps.append(u)
-        return tuple(reps)
+        return tuple(plan.order[0] for plan in self.orbit_root_plans)
+
+    @cached_property
+    def orbit_root_plans(self) -> tuple[Plan, ...]:
+        """``root_plans`` of one root per automorphism orbit: an embedding
+        sending any root to v, composed with an automorphism, sends that
+        orbit's representative to v."""
+        return _orbit_plans(self.graph, self.root_plans, 1)
+
+    @cached_property
+    def orbit_edge_plans(self) -> tuple[Plan, ...]:
+        """``edge_plans`` of one ordered edge per automorphism orbit."""
+        return _orbit_plans(self.graph, self.edge_plans, 2)
 
     @cached_property
     def deletion_plans(self) -> tuple:
@@ -96,9 +157,9 @@ def as_pattern(obj: Graph | Pattern) -> Pattern:
     return obj if isinstance(obj, Pattern) else Pattern(obj)
 
 
-def _plan(t: Graph, prefix: tuple[int, ...] = ()) -> tuple[list[int], Plan]:
-    """Vertex order for backtracking and its plan; each new vertex sees many
-    placed neighbors.
+def _plan(t: Graph, prefix: tuple[int, ...] = ()) -> Plan:
+    """Vertex order for backtracking and its plan, without order conditions;
+    each new vertex sees many placed neighbors.
 
     Starts with ``prefix`` if given, else with a maximum-degree vertex; then
     greedily picks the vertex with the most already-placed neighbors (ties:
@@ -125,31 +186,96 @@ def _plan(t: Graph, prefix: tuple[int, ...] = ()) -> tuple[list[int], Plan]:
         placed |= 1 << best
     pos = {v: i for i, v in enumerate(order)}
     back = [[pos[u] for u in _bits(adj[v]) if pos[u] < i] for i, v in enumerate(order)]
-    return order, back
+    return Plan(tuple(order), back, [()] * n, [()] * n)
 
 
-def _embed(g: Graph, back: Plan, pinned: tuple[int, ...] = (), limit: int = 0) -> int:
-    """Count injective edge-preserving maps along plan ``back`` into g that send
-    its first positions to the host vertices ``pinned``.
+def _orbit_plans(t: Graph, plans: tuple[Plan, ...], k: int) -> tuple[Plan, ...]:
+    """The first of ``plans`` in every automorphism orbit of their first ``k`` vertices."""
+    reps: list[Plan] = []
+    for plan in plans:
+        # an embedding of t into itself is an automorphism
+        if not any(_embed(t, rep, plan.order[:k], limit=1) for rep in reps):
+            reps.append(plan)
+    return tuple(reps)
+
+
+def _stabilizer_chain(t: Graph, plan: Plan, start: int = 0) -> Chain:
+    """For each position i >= ``start`` of ``plan`` (a plan of t without
+    conditions), its vertex a and every other vertex that an automorphism of t
+    fixing the vertices before a sends a to.
+
+    An embedding of t into itself is an automorphism, so each orbit member is
+    one pinned existence test: at most n(n - 1)/2 tests, with Aut(t) never
+    listed.
+    """
+    order = plan.order
+    return tuple(
+        (order[i], tuple(b for b in order[i + 1 :] if _embed(t, plan, order[:i] + (b,), limit=1)))
+        for i in range(start, len(order))
+    )
+
+
+def _condition_pairs(chain: Chain) -> list[tuple[int, int]]:
+    """The order conditions of ``chain``: f(a) < f(b) for every other member b
+    of the orbit of a, less those the rest imply (f(a) < f(b) < f(c) gives
+    f(a) < f(c)), which the kernel would only check again."""
+    above: dict[int, set[int]] = {}  # vertex -> the vertices that must map above it
+    pairs: list[tuple[int, int]] = []
+    for a, orbit in reversed(chain):
+        implied = set().union(*(above[b] for b in orbit))
+        pairs += [(a, b) for b in orbit if b not in implied]
+        above[a] = implied.union(orbit)
+    return pairs
+
+
+def _conditioned(plan: Plan, pairs: list[tuple[int, int]]) -> Plan:
+    """``plan`` asking f(a) < f(b) for every (a, b) in ``pairs``, checked at the
+    later of the two positions."""
+    pos = {v: i for i, v in enumerate(plan.order)}
+    under: list[list[int]] = [[] for _ in pos]
+    over: list[list[int]] = [[] for _ in pos]
+    for a, b in pairs:
+        i, k = pos[a], pos[b]
+        if i < k:
+            under[k].append(i)
+        else:
+            over[i].append(k)
+    return plan._replace(under=under, over=over)
+
+
+def _embed(g: Graph, plan: Plan, pinned: tuple[int, ...] = (), limit: int = 0) -> int:
+    """Count injective edge-preserving maps along ``plan`` into g that meet its
+    order conditions and send its first positions to the host vertices ``pinned``.
 
     With ``limit`` > 0 the search stops once it has found at least ``limit``
-    embeddings and returns a count of at least ``limit``.
+    maps and returns a count of at least ``limit``.
     """
+    _, back, under, over = plan
     n = len(back)
     if n > g.n:
         return 0
     gadj = g.adj
-    # image[i] is the host neighborhood row of the vertex that position i maps to
+    # image[i] is the host neighborhood row of the vertex that position i maps
+    # to, and bit[i] that vertex as a one-bit mask
     image = [0] * n
+    bit = [0] * n
     avail = (1 << g.n) - 1
     for i, host in enumerate(pinned):
-        if not (avail >> host) & 1:
+        low = 1 << host
+        if not avail & low:
             return 0
         for j in back[i]:
-            if not (image[j] >> host) & 1:
+            if not image[j] & low:
+                return 0
+        for j in under[i]:
+            if bit[j] > low:
+                return 0
+        for j in over[i]:
+            if bit[j] < low:
                 return 0
         image[i] = gadj[host]
-        avail ^= 1 << host
+        bit[i] = low
+        avail ^= low
     npin = len(pinned)
     if npin == n:
         return 1
@@ -163,6 +289,10 @@ def _embed(g: Graph, back: Plan, pinned: tuple[int, ...] = (), limit: int = 0) -
             cand &= image[j]
             if not cand:
                 return 0
+        for j in under[i]:
+            cand &= -(bit[j] << 1)
+        for j in over[i]:
+            cand &= bit[j] - 1
         if i == last:
             return cand.bit_count()
         total = 0
@@ -170,6 +300,7 @@ def _embed(g: Graph, back: Plan, pinned: tuple[int, ...] = (), limit: int = 0) -
             low = cand & -cand
             cand ^= low
             image[i] = gadj[low.bit_length() - 1]
+            bit[i] = low
             total += rec(i + 1, avail ^ low)
             if total >= stop:
                 break
@@ -178,71 +309,80 @@ def _embed(g: Graph, back: Plan, pinned: tuple[int, ...] = (), limit: int = 0) -
     return rec(npin, avail)
 
 
+def _kernel_sum(g: Graph, plans: tuple[Plan, ...], pinned: tuple[int, ...], limit: int) -> int:
+    """Sum of the kernel over ``plans``, each with its first positions pinned."""
+    total = 0
+    for plan in plans:
+        total += _embed(g, plan, pinned, limit)
+        if limit and total >= limit:
+            return total
+    return total
+
+
+def count_copies(g: Graph, t: Graph | Pattern) -> int:
+    """Number of subgraphs of g isomorphic to t: one embedding per copy meets
+    the order conditions."""
+    return _embed(g, as_pattern(t).copy_plan)
+
+
 def count_embeddings(g: Graph, t: Graph | Pattern) -> int:
     """Number of injective maps V(t) -> V(g) sending edges to edges."""
-    return _embed(g, as_pattern(t).plan)
+    pat = as_pattern(t)
+    return count_copies(g, pat) * pat.aut_count
 
 
 def exists_embedding(g: Graph, t: Graph | Pattern) -> bool:
     return _embed(g, as_pattern(t).plan, limit=1) > 0
 
 
-def count_copies(g: Graph, t: Graph | Pattern) -> int:
-    """Number of subgraphs of g isomorphic to t (embeddings / automorphisms)."""
-    pat = as_pattern(t)
-    emb = count_embeddings(g, pat)
-    copies, rem = divmod(emb, pat.aut_count)
-    if rem:
-        raise InternalCheckError(
-            f"embedding count {emb} not divisible by automorphism count {pat.aut_count}"
-        )
-    return copies
-
-
 def automorphism_count(t: Graph) -> int:
     return as_pattern(t).aut_count
 
 
-def _through_vertex(g: Graph, v: int, t: Graph | Pattern, limit: int) -> int:
-    """Sum of the kernel over every pattern root pinned to host vertex v."""
+def _through_vertex(g: Graph, v: int, plans: tuple[Plan, ...], limit: int) -> int:
+    """Sum of the kernel over ``plans``, which start at pattern roots, each
+    pinned to v."""
     if not 0 <= v < g.n:
         raise ValueError("v is not a vertex of the host")
-    total = 0
-    for plan in as_pattern(t).root_plans:
-        total += _embed(g, plan, (v,), limit)
-        if limit and total >= limit:
-            return total
-    return total
+    return _kernel_sum(g, plans, (v,), limit)
+
+
+def pattern_degree(g: Graph, v: int, t: Graph | Pattern) -> int:
+    """Number of copies of t in g whose vertex set contains v."""
+    return _through_vertex(g, v, as_pattern(t).copy_root_plans, 0)
 
 
 def embeddings_through_vertex(g: Graph, v: int, t: Graph | Pattern) -> int:
     """Embeddings of the pattern whose image contains host vertex v."""
-    return _through_vertex(g, v, t, 0)
+    pat = as_pattern(t)
+    return pattern_degree(g, v, pat) * pat.aut_count
 
 
 def exists_embedding_through_vertex(g: Graph, v: int, t: Graph | Pattern) -> bool:
-    return _through_vertex(g, v, t, 1) > 0
+    return _through_vertex(g, v, as_pattern(t).orbit_root_plans, 1) > 0
 
 
-def _through_edge(g: Graph, u: int, v: int, t: Graph | Pattern, limit: int) -> int:
-    """Sum of the kernel over every ordered pattern edge pinned to (u, v)."""
+def _through_edge(g: Graph, u: int, v: int, plans: tuple[Plan, ...], limit: int) -> int:
+    """Sum of the kernel over ``plans``, which start at ordered pattern edges,
+    each pinned to (u, v)."""
     if not g.has_edge(u, v):
         raise ValueError("uv is not an edge of the host")
-    total = 0
-    for plan in as_pattern(t).edge_plans:
-        total += _embed(g, plan, (u, v), limit)
-        if limit and total >= limit:
-            return total
-    return total
+    return _kernel_sum(g, plans, (u, v), limit)
+
+
+def copies_through_edge(g: Graph, u: int, v: int, t: Graph | Pattern) -> int:
+    """Number of copies of t in g that use the host edge uv."""
+    return _through_edge(g, u, v, as_pattern(t).copy_edge_plans, 0)
 
 
 def embeddings_through_edge(g: Graph, u: int, v: int, t: Graph | Pattern) -> int:
     """Embeddings whose image uses the host edge uv (in either orientation)."""
-    return _through_edge(g, u, v, t, 0)
+    pat = as_pattern(t)
+    return copies_through_edge(g, u, v, pat) * pat.aut_count
 
 
 def exists_embedding_through_edge(g: Graph, u: int, v: int, t: Graph | Pattern) -> bool:
-    return _through_edge(g, u, v, t, 1) > 0
+    return _through_edge(g, u, v, as_pattern(t).orbit_edge_plans, 1) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -252,20 +392,26 @@ def exists_embedding_through_edge(g: Graph, u: int, v: int, t: Graph | Pattern) 
 def _deletion_plan(t: Graph, v: int) -> tuple[Plan, list[int], int]:
     """Backtracking plan of t - v for ``_neighbour_images``.
 
-    Per position: the positions of its placed neighbours, and whether it is
-    a neighbour of v; then the position just past the last such neighbour.
+    The plan's order names vertices of t, and its conditions come from the
+    stabilizer chain of t with v fixed: the automorphisms fixing v act on
+    t - v and keep N(v) in place, so one embedding per orbit of them finds
+    every neighbour image.  Then, per position, whether it is a neighbour of
+    v, and the position just past the last such neighbour.
     """
     others = [u for u in range(t.n) if u != v]
     if not others:
-        return [], [], 0
-    order, back = _plan(subgraph(t, others))
-    sees = [(t.adj[v] >> others[w]) & 1 for w in order]
+        return Plan((), [], [], []), [], 0
+    sub = _plan(subgraph(t, others))
+    order = tuple(others[w] for w in sub.order)
+    chain = _stabilizer_chain(t, _plan(t, (v,) + order), start=1)
+    plan = _conditioned(sub._replace(order=order), _condition_pairs(chain))
+    sees = [(t.adj[v] >> u) & 1 for u in order]
     split = max((i + 1 for i, s in enumerate(sees) if s), default=0)
-    return back, sees, split
+    return plan, sees, split
 
 
 def _neighbour_images(
-    g: Graph, plan: tuple[Plan, list[int], int], found: set[int]
+    g: Graph, dplan: tuple[Plan, list[int], int], found: set[int]
 ) -> None:
     """Add to ``found`` every host set onto which some embedding of t - v maps N(v).
 
@@ -273,10 +419,12 @@ def _neighbour_images(
     search stops at the first completion, and skips a placement whose mask
     is already known.
     """
-    back, sees, split = plan
+    plan, sees, split = dplan
+    _, back, under, over = plan
     n = len(back)
     gadj = g.adj
     image = [0] * n
+    bit = [0] * n
 
     def rec(i: int, avail: int, mask: int) -> bool:
         if i == split and mask in found:
@@ -287,10 +435,15 @@ def _neighbour_images(
         cand = avail
         for j in back[i]:
             cand &= image[j]
+        for j in under[i]:
+            cand &= -(bit[j] << 1)
+        for j in over[i]:
+            cand &= bit[j] - 1
         while cand:
             low = cand & -cand
             cand ^= low
             image[i] = gadj[low.bit_length() - 1]
+            bit[i] = low
             if rec(i + 1, avail ^ low, mask | low if sees[i] else mask) and i >= split:
                 return True
         return False
@@ -311,12 +464,13 @@ def critical_masks(g: Graph, t: Graph | Pattern) -> list[int]:
     pat = as_pattern(t)
     found: set[int] = set()
     if pat.graph.n - 1 <= g.n:
-        for plan in pat.deletion_plans:
-            _neighbour_images(g, plan, found)
+        for dplan in pat.deletion_plans:
+            _neighbour_images(g, dplan, found)
     minimal: list[int] = []
-    for mask in sorted(found, key=lambda m: (m.bit_count(), m)):
-        if not any(c & mask == c for c in minimal):
-            minimal.append(mask)
+    # distinct sets of one size contain no other, so each size is checked
+    # against the smaller sets kept so far only
+    for _, same_size in groupby(sorted(found, key=lambda m: (m.bit_count(), m)), int.bit_count):
+        minimal += [mask for mask in same_size if not any(c & mask == c for c in minimal)]
     return minimal
 
 
@@ -397,18 +551,6 @@ def clique_number(g: Graph) -> int:
 
 # ---------------------------------------------------------------------------
 # derived counts
-
-
-def pattern_degree(g: Graph, v: int, t: Graph | Pattern) -> int:
-    """Number of copies of t in g whose vertex set contains v."""
-    pat = as_pattern(t)
-    emb = embeddings_through_vertex(g, v, pat)
-    deg, rem = divmod(emb, pat.aut_count)
-    if rem:
-        raise InternalCheckError(
-            f"through-vertex embedding count {emb} not divisible by {pat.aut_count}"
-        )
-    return deg
 
 
 def min_pattern_degree(g: Graph, t: Graph | Pattern) -> int:

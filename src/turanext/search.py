@@ -31,13 +31,17 @@ from .counting import (
     Pattern,
     as_pattern,
     contains_subgraph,
+    copies_through_edge,
     count_copies,
     critical_masks,
-    embeddings_through_edge,
     exists_embedding_through_edge,
 )
-# unused here, but the benchmark's tracer wraps both names on this module
-from .counting import clique_masks, exists_embedding_through_vertex  # noqa: F401
+# unused here, but the benchmark's tracer wraps these names on this module
+from .counting import (  # noqa: F401
+    clique_masks,
+    embeddings_through_edge,
+    exists_embedding_through_vertex,
+)
 from .errors import InternalCheckError, SearchCapError
 from .graphs import (
     Graph,
@@ -259,14 +263,6 @@ def _random_free_seed(n: int, h: Pattern, rng: random.Random) -> Graph:
     return g
 
 
-def _copies_through_edge(g: Graph, u: int, v: int, t: Pattern) -> int:
-    emb = embeddings_through_edge(g, u, v, t)
-    copies, rem = divmod(emb, t.aut_count)
-    if rem:
-        raise InternalCheckError("through-edge embeddings not divisible by |Aut|")
-    return copies
-
-
 def _toggle(g: Graph, u: int, v: int) -> Graph:
     rows = list(g.adj)
     rows[u] ^= 1 << v
@@ -289,13 +285,13 @@ def _climb(
         advanced = False
         for u, v in slots:
             if (g.adj[u] >> v) & 1:  # slots are in range: skip has_edge's checks
-                delta = -_copies_through_edge(g, u, v, t)
+                delta = -copies_through_edge(g, u, v, t)
                 cand = _toggle(g, u, v)
             else:
                 cand = _toggle(g, u, v)
                 if exists_embedding_through_edge(cand, u, v, h):
                     continue
-                delta = _copies_through_edge(cand, u, v, t)
+                delta = copies_through_edge(cand, u, v, t)
             if delta > 0:
                 g = cand
                 advanced = True

@@ -54,6 +54,20 @@ def through_edge_brute(host: Graph, u: int, v: int, pattern: Graph) -> int:
     return count
 
 
+def embedding_images_brute(host: Graph, pattern: Graph) -> list[tuple[int, ...]]:
+    """Every edge-preserving injective map V(pattern) -> V(host), as the tuple
+    of images of the pattern vertices."""
+    if pattern.n > host.n:
+        return []
+    pedges = pattern.edges()
+    adj = host.adj
+    return [
+        image
+        for image in permutations(range(host.n), pattern.n)
+        if all((adj[image[a]] >> image[b]) & 1 for a, b in pedges)
+    ]
+
+
 def copies_brute(host: Graph, pattern: Graph) -> int:
     aut = embeddings_brute(pattern, pattern)
     emb = embeddings_brute(host, pattern)

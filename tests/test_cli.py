@@ -7,9 +7,10 @@ import io
 import json
 
 import pytest
+from test_counting import deadline
 
 from turanext import __version__
-from turanext.cli import main
+from turanext.cli import SWEEP_ROW_CAP, main
 from turanext.closedform import Params, anchored_degree_count
 from turanext.graphs import graph6_decode
 
@@ -66,6 +67,16 @@ def test_count_command(capsys):
     assert row["copies"] == "15"
     assert row["embeddings"] == "120"
     assert row["pattern_automorphisms"] == "8"
+
+
+def test_count_command_at_large_automorphism_groups(capsys):
+    """11! embeddings of K11 in itself are one copy; neither count lists them."""
+    with deadline(60):
+        code, out, _ = run_cli(capsys, "count", "G=K11", "T=K11")
+    assert code == 0
+    (row,) = parse_csv(out)[1]
+    assert row["copies"] == "1"
+    assert row["embeddings"] == row["pattern_automorphisms"] == "39916800"
 
 
 def test_f_eval_command(capsys):
@@ -399,6 +410,24 @@ def test_sweep_gain_rate_requires_alpha(capsys):
         capsys, "analytic-sweep", "quantity=gain-rate", "r=2", "s=1", "t=2"
     )
     assert code == 2 and "alpha" in err
+
+
+def test_sweep_grid_is_capped_before_any_row_is_made(capsys):
+    """Every row is held until the output is written, so a grid over the cap
+    exits 2 before computing anything."""
+    step_poly = ("analytic-sweep", "quantity=step-poly", "r=2", "s=1", "t=1")
+    code, _, err = run_cli(capsys, *step_poly, f"points={10**9}")
+    assert code == 2 and str(SWEEP_ROW_CAP) in err
+    ratio = ("analytic-sweep", "quantity=step-ratio-error", "r=2", "s=1", "t=1")
+    code, _, err = run_cli(capsys, *ratio, f"n={10**30}", "astep=1")
+    assert code == 2 and str(SWEEP_ROW_CAP) in err
+    offset = ("analytic-sweep", "quantity=offset-gain", "r=2", "s=1", "t=1", f"n={10**30}")
+    code, _, _ = run_cli(capsys, *offset, "xstep=1")
+    assert code == 2
+    code, out, _ = run_cli(capsys, *step_poly, f"points={SWEEP_ROW_CAP}")
+    assert code == 0 and len(parse_csv(out)[1]) == SWEEP_ROW_CAP
+    code, out, _ = run_cli(capsys, *offset, f"xmax={SWEEP_ROW_CAP - 1}", "xstep=1")
+    assert code == 0 and len(parse_csv(out)[1]) == SWEEP_ROW_CAP
 
 
 def test_sweep_rejects_unknown_quantity(capsys):

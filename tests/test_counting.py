@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import math
 import random
-from itertools import permutations
+import signal
+from contextlib import contextmanager
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brutes
+from test_graphs import petersen
 from turanext import counting
 from turanext.counting import (
     Pattern,
@@ -17,6 +21,7 @@ from turanext.counting import (
     clique_number,
     contains_any,
     contains_subgraph,
+    copies_through_edge,
     count_cliques,
     count_copies,
     count_embeddings,
@@ -31,6 +36,7 @@ from turanext.counting import (
 )
 from turanext.graphs import (
     Graph,
+    add_edge,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -52,6 +58,16 @@ PATTERNS = {
     "star3": complete_multipartite((1, 3)),
     "2K2": graph_from_edges(4, [(0, 1), (2, 3)]),
     "K2+iso": graph_from_edges(3, [(0, 1)]),
+}
+# automorphism groups of order 10, 12, 48, 72, 72 and 120: each copy has that
+# many embeddings, and the order conditions that keep one of them do the most
+SYMMETRIC = {
+    "C5": cycle_graph(5),
+    "K23": complete_multipartite((2, 3)),
+    "K222": complete_multipartite((2, 2, 2)),
+    "K33": complete_multipartite((3, 3)),
+    "2K3": graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+    "petersen": petersen(),
 }
 # one Pattern per name shared by every test, so its compiled plans are reused
 # across hosts, limits and tests
@@ -96,8 +112,6 @@ def test_automorphism_counts(g, aut):
 
 
 def test_petersen_counts():
-    from test_graphs import petersen
-
     g = petersen()
     assert automorphism_count(g) == 120
     assert count_copies(g, complete_graph(3)) == 0
@@ -180,7 +194,8 @@ def test_through_vertex_and_edge_match_brute(name):
 
 def test_pattern_compiles_each_plan_once(monkeypatch):
     """Kernel calls on one Pattern compile each plan once: the whole pattern,
-    every root and every ordered edge, and nothing on later calls."""
+    every root and every ordered edge, and nothing on later calls.  The order
+    conditions and the automorphism count come with them."""
     prefixes = []
     compile_plan = counting._plan
 
@@ -194,15 +209,125 @@ def test_pattern_compiles_each_plan_once(monkeypatch):
     hosts = [complete_graph(6)] + [brutes.random_graph(rng, 7, 0.6) for _ in range(3)]
     for i, host in enumerate(hosts):
         count_copies(host, pat)
+        count_embeddings(host, pat)
+        exists_embedding(host, pat)
         for v in range(host.n):
             pattern_degree(host, v, pat)
+            embeddings_through_vertex(host, v, pat)
+            exists_embedding_through_vertex(host, v, pat)
         for u, v in host.edges():
+            copies_through_edge(host, u, v, pat)
             embeddings_through_edge(host, u, v, pat)
             exists_embedding_through_edge(host, u, v, pat)
         if i == 0:
             first = len(prefixes)
+    # the stabilizer chain and the orbit representatives pin prefixes of plans
+    # already compiled, so they compile nothing of their own
     assert len(prefixes) == first == 1 + 5 + 2 * 5
     assert len(set(prefixes)) == len(prefixes)
+
+
+def _copy(pattern_edges: list[tuple[int, int]], image: tuple[int, ...]):
+    """The subgraph an embedding maps the pattern onto: vertex set and edge set."""
+    return frozenset(image), frozenset(frozenset((image[a], image[b])) for a, b in pattern_edges)
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_symmetric_patterns_match_brute(name):
+    """Copies are told apart by their vertex and edge sets, so the oracle
+    divides by no automorphism count."""
+    pattern = Pattern(SYMMETRIC[name])
+    pedges = pattern.graph.edges()
+    rng = random.Random(name)
+    for n in (6, 7, 8, 9):
+        host = brutes.random_graph(rng, n, rng.uniform(0.5, 0.9))
+        images = brutes.embedding_images_brute(host, pattern.graph)
+        mapped = [_copy(pedges, image) for image in images]
+        copies = set(mapped)
+        assert count_embeddings(host, pattern) == len(images)
+        assert count_copies(host, pattern) == len(copies)
+        for v in range(n):
+            degree = sum(v in verts for verts, _ in copies)
+            assert pattern_degree(host, v, pattern) == degree
+            assert embeddings_through_vertex(host, v, pattern) == sum(v in im for im in images)
+            assert exists_embedding_through_vertex(host, v, pattern) == (degree > 0)
+        for u, v in host.edges():
+            edge = frozenset((u, v))
+            through = sum(edge in edges for _, edges in copies)
+            for a, b in ((u, v), (v, u)):
+                assert copies_through_edge(host, a, b, pattern) == through
+                assert embeddings_through_edge(host, a, b, pattern) == sum(
+                    edge in edges for _, edges in mapped
+                )
+                assert exists_embedding_through_edge(host, a, b, pattern) == (through > 0)
+
+
+def test_petersen_in_complete_and_own_hosts():
+    """Closed forms where the 10-vertex brute force would be too slow: K10
+    holds 10!/120 Petersen copies, each spans all ten vertices and uses 15
+    of the 45 edges, so by symmetry every edge lies in a third of them."""
+    pattern = Pattern(petersen())
+    k10 = complete_graph(10)
+    assert count_copies(k10, pattern) == math.factorial(10) // 120 == 30240
+    assert count_embeddings(k10, pattern) == math.factorial(10)
+    assert pattern_degree(k10, 3, pattern) == 30240
+    assert copies_through_edge(k10, 7, 2, pattern) == 30240 * 15 // 45
+    assert embeddings_through_edge(k10, 2, 7, pattern) == 120 * 10080
+    host = petersen()
+    assert count_copies(host, pattern) == 1
+    assert pattern_degree(host, 4, pattern) == 1
+    assert embeddings_through_edge(host, 0, 1, pattern) == 120
+    assert copies_through_edge(host, 0, 1, pattern) == 1
+    assert copies_through_edge(add_edge(host, 0, 2), 0, 1, pattern) == 1
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Fail with TimeoutError, not hang, when the body runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _strongly_regular():
+    """Three strongly regular graphs on 16 vertices and their |Aut|."""
+    pairs = list(combinations(range(16), 2))
+    # Cayley graph on Z4 x Z4 with connection set {±(0,1), ±(1,0), ±(1,1)}
+    diffs = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    shrikhande = [(a, b) for a, b in pairs if ((a // 4 - b // 4) % 4, (a - b) % 4) in diffs]
+    rook = [(a, b) for a, b in pairs if a // 4 == b // 4 or a % 4 == b % 4]
+    # the folded 5-cube: 4-bit words joined when they differ in one bit or in all
+    clebsch = [(a, b) for a, b in pairs if (a ^ b).bit_count() == 1 or a ^ b == 15]
+    return {
+        "shrikhande": (graph_from_edges(16, shrikhande), 192),
+        "rook4x4": (graph_from_edges(16, rook), 1152),
+        "clebsch": (graph_from_edges(16, clebsch), 1920),
+    }
+
+
+def test_automorphisms_at_pattern_cap_do_not_hang():
+    """|Aut| is a product of orbit sizes, so 16! automorphisms cost no more
+    than a few hundred pinned existence tests."""
+    with deadline(60):
+        assert automorphism_count(complete_graph(16)) == math.factorial(16)
+        assert automorphism_count(empty_graph(16)) == math.factorial(16)
+        for name, (g, aut) in _strongly_regular().items():
+            assert automorphism_count(g) == aut, name
+
+
+def test_copies_at_pattern_cap_do_not_hang():
+    with deadline(60):
+        assert count_copies(complete_graph(16), complete_graph(12)) == 1820
+        assert count_copies(complete_graph(16), complete_graph(16)) == 1
+        assert count_embeddings(complete_graph(16), empty_graph(16)) == math.factorial(16)
 
 
 def test_through_edge_requires_host_edge():
