@@ -204,7 +204,8 @@ def step_ratio_error(p: Params, a: int, n: int) -> float:
 
 
 def _falling(x: float, k: int) -> float:
-    out = 1.0
+    """x(x - 1)...(x - k + 1), exact for an int x."""
+    out = 1
     for i in range(k):
         out *= x - i
     return out
@@ -347,13 +348,6 @@ def stability_integral(beta: float, p: Params) -> float:
 # exact rational identities
 
 
-def _falling_int(x: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= x - i
-    return out
-
-
 def transfer_identity_check(a_parts: Composition, p: Params) -> bool:
     """Exact check that the falling-factorial form equals the scaled count step.
 
@@ -373,10 +367,10 @@ def transfer_identity_check(a_parts: Composition, p: Params) -> bool:
     if ar < 1:
         raise ValueError("need largest part >= 1")
     lhs = (
-        Fraction(s * ar - t * (a1 + 1), a1 + 1 - s) * _falling_int(ar - s, q)
-        + Fraction(t * ar - s * (a1 + 1), a1 + 1 - t) * _falling_int(a1 - s, q)
+        Fraction(s * ar - t * (a1 + 1), a1 + 1 - s) * _falling(ar - s, q)
+        + Fraction(t * ar - s * (a1 + 1), a1 + 1 - t) * _falling(a1 - s, q)
         + Fraction(s * (ar - a1 - 1), a1 + 1 - s)
-        * sum(_falling_int(a_parts[i] - s, q) for i in range(1, r - 1))
+        * sum(_falling(a_parts[i] - s, q) for i in range(1, r - 1))
     )
     moved = (a1 + 1, *a_parts[1:-1], ar - 1)
     denom = math.factorial(s)

@@ -190,12 +190,13 @@ def _cmd_count(reader: ParamReader) -> CommandOutput:
         pattern = counting.Pattern(parse_graph(pattern_text))
     except ValueError as exc:
         raise ConfigError(f"parameter T={pattern_text!r}: {exc}") from exc
+    copies = counting.count_copies(host, pattern)
     row = {
         "host_vertices": str(host.n),
         "host_edges": str(host.edge_count()),
         "pattern": pattern_text,
-        "copies": str(counting.count_copies(host, pattern)),
-        "embeddings": str(counting.count_embeddings(host, pattern)),
+        "copies": str(copies),
+        "embeddings": str(copies * pattern.aut_count),
         "pattern_automorphisms": str(pattern.aut_count),
     }
     return CommandOutput([row])
@@ -607,6 +608,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"turanext: invalid value: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"turanext: numeric overflow: {exc}", file=sys.stderr)
         return 2
     except SearchCapError as exc:
         print(f"turanext: search cap: {exc}", file=sys.stderr)

@@ -37,10 +37,12 @@ they try one root or ordered edge per automorphism orbit: composing with an
 automorphism moves any embedding through v onto that orbit's representative.
 
 ``critical_masks`` serves the exhaustive search's freeness filter with its
-own recursion over a plan of t - v, one v per automorphism orbit, which
-records where the neighbours of v land instead of counting.  It keeps one
-embedding per orbit of the automorphisms fixing v, which all map the
-neighbours of v onto the same host set.
+own recursion, which records where the neighbours of v land instead of
+counting.  It walks the root plan of one v per automorphism orbit (the
+plans ``orbit_root_plans`` already holds) from position 1, so it places
+t - v and compiles no plan of its own.  It keeps one embedding per orbit of
+the automorphisms fixing v, which all map the neighbours of v onto the same
+host set.
 
 All counts are Python ints and therefore exact at every size we accept.
 """
@@ -52,7 +54,7 @@ from itertools import groupby
 from math import prod
 from typing import NamedTuple, Sequence
 
-from .graphs import Graph, _bits, subgraph
+from .graphs import Graph, _bits
 
 PATTERN_CAP = 16
 
@@ -146,8 +148,8 @@ class Pattern:
 
     @cached_property
     def deletion_plans(self) -> tuple:
-        """``_deletion_plan`` of every orbit representative, for ``critical_masks``."""
-        return tuple(_deletion_plan(self.graph, v) for v in self.orbit_reps)
+        """``_deletion_plan`` of every plan in ``orbit_root_plans``, for ``critical_masks``."""
+        return tuple(_deletion_plan(self.graph, p) for p in self.orbit_root_plans)
 
     def __repr__(self) -> str:
         return f"Pattern({self.graph!r})"
@@ -389,41 +391,38 @@ def exists_embedding_through_edge(g: Graph, u: int, v: int, t: Graph | Pattern) 
 # critical masks: the freeness filter of the exhaustive search
 
 
-def _deletion_plan(t: Graph, v: int) -> tuple[Plan, list[int], int]:
-    """Backtracking plan of t - v for ``_neighbour_images``.
+def _deletion_plan(t: Graph, root_plan: Plan) -> tuple[Plan, list[bool], int]:
+    """``root_plan``, the plan of t from a vertex v, readied for
+    ``_neighbour_images``, which places t - v along positions 1 onwards.
 
-    The plan's order names vertices of t, and its conditions come from the
-    stabilizer chain of t with v fixed: the automorphisms fixing v act on
-    t - v and keep N(v) in place, so one embedding per orbit of them finds
-    every neighbour image.  Then, per position, whether it is a neighbour of
-    v, and the position just past the last such neighbour.
+    The conditions come from the stabilizer chain from position 1: the
+    automorphisms fixing v act on t - v and keep N(v) in place, so one
+    embedding per orbit of them finds every neighbour image.  Then, per
+    position, whether it is a neighbour of v, and the position just past the
+    last such neighbour.
     """
-    others = [u for u in range(t.n) if u != v]
-    if not others:
-        return Plan((), [], [], []), [], 0
-    sub = _plan(subgraph(t, others))
-    order = tuple(others[w] for w in sub.order)
-    chain = _stabilizer_chain(t, _plan(t, (v,) + order), start=1)
-    plan = _conditioned(sub._replace(order=order), _condition_pairs(chain))
-    sees = [(t.adj[v] >> u) & 1 for u in order]
-    split = max((i + 1 for i, s in enumerate(sees) if s), default=0)
+    plan = _conditioned(root_plan, _condition_pairs(_stabilizer_chain(t, root_plan, start=1)))
+    sees = [0 in back for back in plan.back]
+    split = max((i + 1 for i, s in enumerate(sees) if s), default=1)
     return plan, sees, split
 
 
 def _neighbour_images(
-    g: Graph, dplan: tuple[Plan, list[int], int], found: set[int]
+    g: Graph, dplan: tuple[Plan, list[bool], int], found: set[int]
 ) -> None:
     """Add to ``found`` every host set onto which some embedding of t - v maps N(v).
 
-    Past the last neighbour of v in the plan only existence matters, so the
-    search stops at the first completion, and skips a placement whose mask
-    is already known.
+    Position 0 is v, the new vertex outside the host, so its image row holds
+    every host vertex and the search starts at position 1.  Past the last
+    neighbour of v in the plan only existence matters, so the search stops at
+    the first completion, and skips a placement whose mask is already known.
     """
     plan, sees, split = dplan
     _, back, under, over = plan
     n = len(back)
     gadj = g.adj
-    image = [0] * n
+    full = (1 << g.n) - 1
+    image = [full] + [0] * (n - 1)
     bit = [0] * n
 
     def rec(i: int, avail: int, mask: int) -> bool:
@@ -448,7 +447,7 @@ def _neighbour_images(
                 return True
         return False
 
-    rec(0, (1 << g.n) - 1, 0)
+    rec(1, full, 0)
 
 
 def critical_masks(g: Graph, t: Graph | Pattern) -> list[int]:

@@ -328,69 +328,48 @@ _CHROMATIC_CAP = 20
 _PARTITION_CAP = 16
 
 
-def _greedy_coloring_bound(graph: Graph, order: list[int]) -> int:
-    colors: dict[int, int] = {}
-    for v in order:
-        used = {colors[u] for u in _bits(graph.adj[v]) if u in colors}
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
-    return 1 + max(colors.values(), default=-1)
-
-
-def _greedy_clique_bound(graph: Graph, order: list[int]) -> int:
-    mask = 0
-    size = 0
-    for v in order:
-        if mask & ~graph.adj[v]:
-            continue
-        mask |= 1 << v
-        size += 1
-    return size
-
-
-def _colorable(graph: Graph, k: int, order: list[int]) -> bool:
-    """Backtracking k-colorability along ``order`` with new-color symmetry breaking."""
+def _partitions(graph: Graph, k: int, order: list[int]) -> Iterator[tuple[int, ...]]:
+    """Class masks of every partition of V into exactly k nonempty independent
+    classes.  Vertices are placed in ``order`` and a class opens at its first
+    vertex, so each unordered partition comes once."""
     n = graph.n
-    color_of = [-1] * n
+    adj = graph.adj
+    masks: list[int] = []
 
-    def place(i: int, used: int) -> bool:
+    def grow(i: int) -> Iterator[tuple[int, ...]]:
+        if len(masks) + (n - i) < k:
+            return
         if i == n:
-            return True
+            if len(masks) == k:
+                yield tuple(masks)
+            return
         v = order[i]
-        forbidden = 0
-        for u in _bits(graph.adj[v]):
-            if color_of[u] >= 0:
-                forbidden |= 1 << color_of[u]
-        limit = min(used + 1, k)
-        for c in range(limit):
-            if (forbidden >> c) & 1:
-                continue
-            color_of[v] = c
-            if place(i + 1, max(used, c + 1)):
-                return True
-            color_of[v] = -1
-        return False
+        bit = 1 << v
+        for j, m in enumerate(masks):
+            if not (adj[v] & m):
+                masks[j] = m | bit
+                yield from grow(i + 1)
+                masks[j] = m
+        if len(masks) < k:
+            masks.append(bit)
+            yield from grow(i + 1)
+            masks.pop()
 
-    return place(0, 0)
+    return grow(0)
 
 
 def chromatic_number(graph: Graph) -> int:
-    """Exact chromatic number (branch and bound, cap at 20 vertices)."""
+    """Exact chromatic number (cap at 20 vertices): the least k with a
+    partition into k independent classes, searched in descending-degree order."""
     if graph.n > _CHROMATIC_CAP:
         raise SearchCapError(
             f"chromatic number is exact only up to {_CHROMATIC_CAP} vertices"
         )
-    if graph.n == 0:
-        return 0
     order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
-    low = _greedy_clique_bound(graph, order)
-    high = _greedy_coloring_bound(graph, order)
-    for k in range(max(low, 1), high):
-        if _colorable(graph, k, order):
-            return k
-    return high
+    # the empty graph's one partition is the empty tuple, so test for None
+    return next(
+        k for k in range(graph.n + 1) if next(_partitions(graph, k, order), None) is not None
+    )
 
 
 def proper_partitions(graph: Graph, k: int) -> Iterator[VertexPartition]:
@@ -403,31 +382,10 @@ def proper_partitions(graph: Graph, k: int) -> Iterator[VertexPartition]:
         raise SearchCapError(
             f"partition enumeration is exact only up to {_PARTITION_CAP} vertices"
         )
-    n = graph.n
-    if k <= 0 or k > n:
+    if k <= 0:
         return
-    adj = graph.adj
-    masks: list[int] = []
-
-    def grow(v: int) -> Iterator[VertexPartition]:
-        if len(masks) + (n - v) < k:
-            return
-        if v == n:
-            if len(masks) == k:
-                yield VertexPartition(n, [list(_bits(m)) for m in masks])
-            return
-        bit = 1 << v
-        for i, m in enumerate(masks):
-            if not (adj[v] & m):
-                masks[i] = m | bit
-                yield from grow(v + 1)
-                masks[i] = m
-        if len(masks) < k:
-            masks.append(bit)
-            yield from grow(v + 1)
-            masks.pop()
-
-    yield from grow(0)
+    for masks in _partitions(graph, k, list(range(graph.n))):
+        yield VertexPartition(graph.n, [list(_bits(m)) for m in masks])
 
 
 # ---------------------------------------------------------------------------

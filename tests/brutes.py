@@ -116,6 +116,31 @@ def chromatic_brute(g: Graph) -> int:
     raise AssertionError("unreachable")
 
 
+def _set_partitions(items: list[int]) -> list[list[list[int]]]:
+    """Every partition of ``items`` into nonempty blocks: the first item joins
+    a block of a partition of the rest, or a block of its own."""
+    if not items:
+        return [[]]
+    first, rest = items[0], items[1:]
+    out = []
+    for blocks in _set_partitions(rest):
+        for i in range(len(blocks)):
+            out.append(blocks[:i] + [[first] + blocks[i]] + blocks[i + 1 :])
+        out.append([[first]] + blocks)
+    return out
+
+
+def proper_partitions_brute(g: Graph, k: int) -> set[frozenset[frozenset[int]]]:
+    """Partitions of V into exactly k nonempty independent classes, filtered
+    from every set partition."""
+    return {
+        frozenset(frozenset(block) for block in blocks)
+        for blocks in _set_partitions(list(range(g.n)))
+        if len(blocks) == k
+        and not any(g.has_edge(u, v) for block in blocks for u, v in combinations(block, 2))
+    }
+
+
 def max_edges_avoiding_brute(n: int, cores: list[Graph]) -> int:
     """Max edges over all labeled n-vertex graphs with no core subgraph (tiny n)."""
     slots = list(combinations(range(n), 2))

@@ -69,6 +69,20 @@ def test_count_command(capsys):
     assert row["pattern_automorphisms"] == "8"
 
 
+def test_count_command_counts_once(capsys, monkeypatch):
+    """The embeddings column is the one copy count times |Aut(T)|."""
+    from turanext import counting
+
+    def refuse(*args):
+        raise AssertionError("count_embeddings would count the copies again")
+
+    monkeypatch.setattr(counting, "count_embeddings", refuse)
+    code, out, _ = run_cli(capsys, "count", "G=K_{2,2,2}", "T=C4")
+    assert code == 0
+    (row,) = parse_csv(out)[1]
+    assert (row["copies"], row["embeddings"], row["pattern_automorphisms"]) == ("15", "120", "8")
+
+
 def test_count_command_at_large_automorphism_groups(capsys):
     """11! embeddings of K11 in itself are one copy; neither count lists them."""
     with deadline(60):
@@ -428,6 +442,15 @@ def test_sweep_grid_is_capped_before_any_row_is_made(capsys):
     assert code == 0 and len(parse_csv(out)[1]) == SWEEP_ROW_CAP
     code, out, _ = run_cli(capsys, *offset, f"xmax={SWEEP_ROW_CAP - 1}", "xstep=1")
     assert code == 0 and len(parse_csv(out)[1]) == SWEEP_ROW_CAP
+
+
+def test_sweep_overflow_maps_to_exit_2(capsys):
+    """A float that leaves the double range is a bad input, not a crash."""
+    sweep = ("analytic-sweep", "r=2", "s=1", "t=30", "points=2")
+    code, out, err = run_cli(capsys, *sweep, "quantity=step-poly", "zmax=1e300")
+    assert (code, out) == (2, "") and "overflow" in err
+    code, out, err = run_cli(capsys, *sweep, "quantity=gain-rate", "alpha=1", "xmax=1e300")
+    assert (code, out) == (2, "") and "overflow" in err
 
 
 def test_sweep_rejects_unknown_quantity(capsys):

@@ -195,7 +195,8 @@ def test_through_vertex_and_edge_match_brute(name):
 def test_pattern_compiles_each_plan_once(monkeypatch):
     """Kernel calls on one Pattern compile each plan once: the whole pattern,
     every root and every ordered edge, and nothing on later calls.  The order
-    conditions and the automorphism count come with them."""
+    conditions, the automorphism count and the critical masks' plans come
+    with them."""
     prefixes = []
     compile_plan = counting._plan
 
@@ -219,10 +220,11 @@ def test_pattern_compiles_each_plan_once(monkeypatch):
             copies_through_edge(host, u, v, pat)
             embeddings_through_edge(host, u, v, pat)
             exists_embedding_through_edge(host, u, v, pat)
+        critical_masks(host, pat)
         if i == 0:
             first = len(prefixes)
-    # the stabilizer chain and the orbit representatives pin prefixes of plans
-    # already compiled, so they compile nothing of their own
+    # the stabilizer chains, the orbit representatives and the deletion plans
+    # reuse plans already compiled, so they compile nothing of their own
     assert len(prefixes) == first == 1 + 5 + 2 * 5
     assert len(set(prefixes)) == len(prefixes)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,25 @@ def test_chromatic_number_exhaustive_vs_brute(n):
         assert chromatic_number(g) == brutes.chromatic_brute(g)
 
 
+def mycielskian(g: Graph) -> Graph:
+    """Mycielski's construction: a shadow n + v of every vertex v, adjacent to
+    the neighbours of v, and an apex 2n adjacent to every shadow.  It keeps
+    the graph triangle-free and raises its chromatic number by one."""
+    n = g.n
+    shadows = [(n + u, v) for u, v in g.edges()] + [(n + v, u) for u, v in g.edges()]
+    apex = [(n + v, 2 * n) for v in range(n)]
+    return graph_from_edges(2 * n + 1, g.edges() + shadows + apex)
+
+
+def kneser(n: int, k: int) -> Graph:
+    """The k-subsets of {0, ..., n-1}, adjacent when disjoint."""
+    subsets = [frozenset(c) for c in combinations(range(n), k)]
+    return graph_from_edges(
+        len(subsets),
+        [(i, j) for j in range(len(subsets)) for i in range(j) if not subsets[i] & subsets[j]],
+    )
+
+
 def test_chromatic_number_spot_values():
     assert chromatic_number(empty_graph(0)) == 0
     assert chromatic_number(cycle_graph(5)) == 3
@@ -234,6 +254,23 @@ def test_chromatic_number_spot_values():
     assert chromatic_number(petersen()) == 3
     assert chromatic_number(complete_multipartite((3, 3, 3))) == 3
     assert chromatic_number(blowup(cycle_graph(5), 2)) == 3
+    # the Groetzsch graph and the Mycielskian of C7 are triangle-free with
+    # chromatic number 4; Kneser K(n, k) has n - 2k + 2 (Lovasz 1978); a
+    # complete multipartite graph needs one colour per part
+    assert chromatic_number(mycielskian(cycle_graph(5))) == 4
+    assert chromatic_number(mycielskian(cycle_graph(7))) == 4
+    assert chromatic_number(kneser(6, 2)) == 4
+    assert chromatic_number(complete_multipartite((1,) * 6 + (2,) * 7)) == 13
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_proper_partitions_match_brute(n):
+    """Every partition into k independent classes comes exactly once."""
+    for g in brutes.all_graphs(n):
+        for k in range(1, n + 2):
+            got = [frozenset(p.classes) for p in proper_partitions(g, k)]
+            assert len(got) == len(set(got))
+            assert set(got) == brutes.proper_partitions_brute(g, k)
 
 
 def test_proper_partitions_of_five_cycle():
