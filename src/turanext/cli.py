@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -370,6 +371,21 @@ def _sweep_row(p: Params, n_or_x: str, a_or_alpha: str, quantity: str, value: st
     }
 
 
+def _finite(quantity: str, point: str, advice: str, compute: Callable[[], float]) -> str:
+    """``repr(compute())``, once it is known to be a finite float.
+
+    A value that leaves the double range, by raising or as inf or nan, is an
+    ``OverflowError`` that names the quantity, the grid point and the remedy.
+    """
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"{quantity} overflowed at {point}; {advice}")
+    return repr(value)
+
+
 def _capped(grid: range) -> range:
     """``grid``, once it is known to hold at most ``SWEEP_ROW_CAP`` points."""
     if grid[SWEEP_ROW_CAP:]:
@@ -395,8 +411,11 @@ def _cmd_analytic_sweep(reader: ParamReader) -> CommandOutput:
         astep = reader.int_("astep", max(1, (amax - amin) // 50), minimum=1)
         reader.done()
         for a in _capped(range(amin, amax + 1, astep)):
-            err = analytic.step_ratio_error(p, a, n)
-            rows.append(_sweep_row(p, str(n), str(a), quantity, repr(err)))
+            err = _finite(
+                quantity, f"n={n}, a={a}", "lower t or n",
+                lambda: analytic.step_ratio_error(p, a, n),
+            )
+            rows.append(_sweep_row(p, str(n), str(a), quantity, err))
     elif quantity == "gain-rate":
         alpha = reader.float_("alpha")
         xmin = reader.float_("xmin", 1e3)
@@ -407,8 +426,11 @@ def _cmd_analytic_sweep(reader: ParamReader) -> CommandOutput:
             raise ConfigError("need 0 < xmin <= xmax")
         for i in _capped(range(points)):
             x = xmin * (xmax / xmin) ** (i / (points - 1))
-            value = analytic.offset_gain_rate(x, alpha, p).value
-            rows.append(_sweep_row(p, repr(x), repr(alpha), quantity, repr(value)))
+            value = _finite(
+                quantity, f"x={x!r}, alpha={alpha!r}", "lower alpha or xmax",
+                lambda: analytic.offset_gain_rate(x, alpha, p).value,
+            )
+            rows.append(_sweep_row(p, repr(x), repr(alpha), quantity, value))
     elif quantity == "profile":
         top = 1.0 / (r - 1)
         xmin = reader.float_("xmin", 0.05 * top)
@@ -417,8 +439,11 @@ def _cmd_analytic_sweep(reader: ParamReader) -> CommandOutput:
         reader.done()
         for i in _capped(range(points)):
             x = xmin + (xmax - xmin) * i / (points - 1)
-            value = analytic.log_count_profile(x, p)
-            rows.append(_sweep_row(p, repr(x), "", quantity, repr(value)))
+            value = _finite(
+                quantity, f"x={x!r}", "lower s or t",
+                lambda: analytic.log_count_profile(x, p),
+            )
+            rows.append(_sweep_row(p, repr(x), "", quantity, value))
     elif quantity == "offset-gain":
         n = reader.int_("n", minimum=2)
         xmax_default = max(0, n // 2 - s)
@@ -436,8 +461,11 @@ def _cmd_analytic_sweep(reader: ParamReader) -> CommandOutput:
         reader.done()
         for i in _capped(range(points)):
             z = zmin + (zmax - zmin) * i / (points - 1)
-            value = analytic.step_ratio_poly(z, p).value
-            rows.append(_sweep_row(p, repr(z), "", quantity, repr(value)))
+            value = _finite(
+                quantity, f"z={z!r}", "lower zmax" if z > 0 else "raise zmin",
+                lambda: analytic.step_ratio_poly(z, p).value,
+            )
+            rows.append(_sweep_row(p, repr(z), "", quantity, value))
     return CommandOutput(rows)
 
 

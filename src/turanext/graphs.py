@@ -19,7 +19,10 @@ orbit of the prefix's pointwise stabilizer is searched, and a branch that an
 automorphism maps onto a searched one is left at once.  The pruned branches
 hold the same certificates as the kept ones, so the bytes are those of the
 full tree, and graphs with large automorphism groups (Turan graphs, disjoint
-unions of cycles) label quickly.
+unions of cycles) label quickly.  The automorphisms recorded on the way,
+with the permutations inside the cells of the best leaf, generate the whole
+automorphism group; the isomorph-free search reads them off to extend one
+neighbourhood per orbit.
 """
 
 from __future__ import annotations
@@ -458,7 +461,9 @@ def _join_cycles(parent: list[int], cell: int, gamma: list[int]) -> None:
             parent[max(a, b)] = min(a, b)
 
 
-def _canonical_search(adj: tuple[int, ...], n: int) -> tuple[bytes, list[int]]:
+def _canonical_search(
+    adj: tuple[int, ...], n: int
+) -> tuple[bytes, list[int], list[tuple[list[int], int]]]:
     """Least leaf certificate of the search tree, with the first labeling reaching it.
 
     A tree node is an ordered partition refined by ``_refine``.  It is a leaf
@@ -488,6 +493,9 @@ def _canonical_search(adj: tuple[int, ...], n: int) -> tuple[bytes, list[int]]:
     cells, so it is equivariant too.  An image of a subtree holds the same
     certificates, so neither rule changes the least one: the bytes are those
     of the full tree.
+
+    The recorded automorphisms are returned too, as (gamma, mask of its
+    fixed points); ``_automorphism_generators`` reads the group off them.
     """
     best_cert = b""
     best_labeling: list[int] = []
@@ -558,26 +566,57 @@ def _canonical_search(adj: tuple[int, ...], n: int) -> tuple[bytes, list[int]]:
         return min(back, depth)
 
     descend([(1 << n) - 1])
-    return best_cert, best_labeling
+    return best_cert, best_labeling, gens
 
 
 def canonical_form(graph: Graph) -> CanonicalForm:
     """Byte string equal for two graphs iff they are isomorphic."""
     if graph.n == 0:
         return b"\x00"
-    form, _ = _canonical_search(graph.adj, graph.n)
-    return bytes([graph.n]) + form
+    return bytes([graph.n]) + _canonical_search(graph.adj, graph.n)[0]
 
 
 def canonical_graph(graph: Graph) -> Graph:
     """Canonically relabeled copy (equal for all members of an isomorphism class)."""
     if graph.n == 0:
         return graph
-    _, labeling = _canonical_search(graph.adj, graph.n)
+    labeling = _canonical_search(graph.adj, graph.n)[1]
     perm = [0] * graph.n
     for position, v in enumerate(labeling):
         perm[v] = position
     return relabel(graph, perm)
+
+
+def _automorphism_generators(graph: Graph) -> list[list[int]]:
+    """Permutations, as image lists, that generate the automorphism group.
+
+    They are the automorphisms the canonical search records, together with
+    the transposition of each two consecutive vertices of the canonical
+    labeling that are twins (the same neighbours apart from each other).
+    The best leaf lists its cells one after the other, and the cells of a
+    homogeneous partition hold twins only, so these transpositions, each an
+    automorphism, generate every permutation inside the cells: exactly the
+    automorphisms fixing the best leaf's individualized vertices.  The empty graph, whose search
+    records nothing, gets the whole symmetric group this way.  Up the best
+    path, at each node every child in the orbit of the best child under the
+    automorphisms fixing the node's prefix is either searched after it,
+    reaching an equal leaf and so recording an automorphism that maps the
+    best child onto it, or skipped as the image of a searched child under
+    recorded automorphisms fixing that prefix.  Searched before it, such a
+    child would have reached the least certificate first.  So each
+    stabilizer along the path is generated, the whole group included.
+    """
+    n, adj = graph.n, graph.adj
+    if n == 0:
+        return []
+    _, labeling, gens = _canonical_search(adj, n)
+    out = [gamma for gamma, _ in gens]
+    for u, v in zip(labeling, labeling[1:]):
+        if not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v):
+            swap = list(range(n))
+            swap[u], swap[v] = v, u
+            out.append(swap)
+    return out
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

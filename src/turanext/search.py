@@ -11,6 +11,12 @@ neighbours of v, and a neighborhood is rejected exactly when it contains
 one of them (for H = K_m these are the (m-1)-cliques).  Freeness is
 hereditary, so deleting the last vertex of any free (k+1)-vertex graph
 lands back in the level-k class list and the enumeration is complete.
+Masks in one orbit of the parent's automorphism group give isomorphic
+children, so each parent is extended only by the least mask of each orbit,
+the first step of McKay's canonical augmentation ("Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998).  That roughly halves the canonical
+labelings and keeps the class lists as they were: the first child of a
+class in (parent, mask) order has the least mask of its orbit.
 Class lists are cached per forbidden set, so scans that vary the counted
 pattern or n reuse the expensive part.
 
@@ -45,6 +51,7 @@ from .counting import (  # noqa: F401
 from .errors import InternalCheckError, SearchCapError
 from .graphs import (
     Graph,
+    _automorphism_generators,
     canonical_form,
     canonical_graph,
     chromatic_number,
@@ -98,17 +105,48 @@ _CLASS_CACHE: dict[tuple[bytes, ...], list[list[Graph]]] = {}
 
 
 def _extend_one(parent: Graph, pats: list[Pattern]) -> list[tuple[bytes, Graph]]:
-    """All free extensions of one parent, in mask order; (form, child).
+    """Free extensions of one parent, one per Aut(parent)-orbit of masks, in
+    mask order; (form, child).
 
     The new vertex k joins the parent vertices in ``mask``.  Since the parent
     is free, any forbidden copy in the child runs through k, so the child is
     free if and only if ``mask`` contains none of the parent's critical masks.
+
+    An automorphism of the parent maps its critical masks onto critical
+    masks, so an orbit of masks is free or not as a whole, and it maps the
+    child of a mask onto the child of the image.  Only the least mask of each
+    orbit is kept.  The first child of a class in (parent, mask) order is
+    kept too, since a smaller mask in its orbit would give an earlier child
+    of the class, so ``free_graph_classes`` picks the representatives it
+    would pick from every mask.  The masks are walked in ascending order, and
+    the first unseen one marks its orbit through one image table per
+    generator, built in O(1) per mask.  Any set of automorphisms keeps this
+    sound; a generating set prunes every duplicate orbit.
     """
     k = parent.n
     critical = [c for p in pats for c in critical_masks(parent, p)]
+    tables = []
+    for gamma in _automorphism_generators(parent):
+        image = [0] * (1 << k)
+        for m in range(1, 1 << k):
+            low = m & -m
+            image[m] = image[m ^ low] | 1 << gamma[low.bit_length() - 1]
+        tables.append(image)
+    seen = bytearray(1 << k)
     out = []
     rows = parent.adj
     for mask in range(1 << k):
+        if seen[mask]:
+            continue
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            m = stack.pop()
+            for image in tables:
+                m2 = image[m]
+                if not seen[m2]:
+                    seen[m2] = 1
+                    stack.append(m2)
         if any(c & mask == c for c in critical):
             continue
         grown = tuple(

@@ -68,6 +68,49 @@ def embedding_images_brute(host: Graph, pattern: Graph) -> list[tuple[int, ...]]
     ]
 
 
+def automorphisms_brute(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of g, as the tuple of vertex images, by trying
+    every permutation (an edge-preserving bijection is an automorphism)."""
+    return embedding_images_brute(g, g)
+
+
+def stabilizer_chain_brute(g: Graph) -> list[tuple[int, ...]]:
+    """Automorphisms generating Aut(g), for graphs too large to list it.
+
+    For each vertex i and each vertex w, the first automorphism in
+    lexicographic order that fixes 0..i-1 and sends i to w, if any: a
+    transversal of each point stabilizer down the chain, so together they
+    generate the group.  Permutations are built position by position, and a
+    prefix is dropped once two mapped vertices disagree on adjacency.
+    """
+    n, adj = g.n, g.adj
+
+    def fits(image: list[int], w: int) -> bool:
+        j = len(image)
+        return w not in image and all(
+            (adj[j] >> u) & 1 == (adj[w] >> image[u]) & 1 for u in range(j)
+        )
+
+    def first(image: list[int]) -> tuple[int, ...] | None:
+        if len(image) == n:
+            return tuple(image)
+        for w in range(n):
+            if fits(image, w):
+                found = first(image + [w])
+                if found is not None:
+                    return found
+        return None
+
+    out = []
+    for i in range(n):
+        fixed = list(range(i))
+        for w in range(i + 1, n):
+            found = first(fixed + [w]) if fits(fixed, w) else None
+            if found is not None:
+                out.append(found)
+    return out
+
+
 def copies_brute(host: Graph, pattern: Graph) -> int:
     aut = embeddings_brute(pattern, pattern)
     emb = embeddings_brute(host, pattern)

@@ -445,12 +445,24 @@ def test_sweep_grid_is_capped_before_any_row_is_made(capsys):
 
 
 def test_sweep_overflow_maps_to_exit_2(capsys):
-    """A float that leaves the double range is a bad input, not a crash."""
+    """A float that leaves the double range is a bad input, not a crash, and
+    the message names the quantity, the grid point and the remedy."""
     sweep = ("analytic-sweep", "r=2", "s=1", "t=30", "points=2")
     code, out, err = run_cli(capsys, *sweep, "quantity=step-poly", "zmax=1e300")
-    assert (code, out) == (2, "") and "overflow" in err
+    assert (code, out) == (2, "")
+    assert "step-poly overflowed at z=1e+300; lower zmax" in err
     code, out, err = run_cli(capsys, *sweep, "quantity=gain-rate", "alpha=1", "xmax=1e300")
-    assert (code, out) == (2, "") and "overflow" in err
+    assert (code, out) == (2, "")
+    assert "gain-rate overflowed at x=1e+300, alpha=1.0; lower alpha or xmax" in err
+
+
+def test_sweep_infinite_value_exits_2(capsys):
+    """A product that leaves the double range without raising gives inf;
+    it is refused like an overflow instead of printed."""
+    sweep = ("analytic-sweep", "quantity=gain-rate", "r=2", "s=1", "t=2", "points=2")
+    code, out, err = run_cli(capsys, *sweep, "alpha=1e300")
+    assert (code, out) == (2, "")
+    assert "gain-rate overflowed at x=1000.0, alpha=1e+300; lower alpha or xmax" in err
 
 
 def test_sweep_rejects_unknown_quantity(capsys):

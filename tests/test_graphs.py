@@ -14,6 +14,7 @@ import brutes
 from turanext.graphs import (
     Graph,
     VertexPartition,
+    _automorphism_generators,
     _refine,
     add_edge,
     anchored_turan_graph,
@@ -413,6 +414,75 @@ def test_refine_flags_homogeneity_on_all_graphs(n):
 @pytest.mark.parametrize("name", sorted(SYMMETRIC_CORPUS))
 def test_refine_flags_homogeneity_on_symmetric_graphs(name):
     _assert_refine_flags_homogeneity(SYMMETRIC_CORPUS[name])
+
+
+def _mask_image(perm, mask: int) -> int:
+    return sum(1 << perm[v] for v in range(len(perm)) if (mask >> v) & 1)
+
+
+def _mask_orbits(n: int, perms) -> list[int]:
+    """The least mask of the orbit of each of the 2^n masks under ``perms``."""
+    tables = []
+    for perm in perms:
+        table = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            table[m] = table[m ^ low] | 1 << perm[low.bit_length() - 1]
+        tables.append(table)
+    least = [-1] * (1 << n)
+    for mask in range(1 << n):
+        if least[mask] < 0:
+            least[mask] = mask
+            stack = [mask]
+            while stack:
+                m = stack.pop()
+                for table in tables:
+                    if least[table[m]] < 0:
+                        least[table[m]] = mask
+                        stack.append(table[m])
+    return least
+
+
+def _assert_generators_give_brute_orbits(g: Graph) -> None:
+    gens = _automorphism_generators(g)
+    group = brutes.automorphisms_brute(g)
+    assert {tuple(gamma) for gamma in gens} <= set(group)
+    brute = [min(_mask_image(perm, m) for perm in group) for m in range(1 << g.n)]
+    assert _mask_orbits(g.n, gens) == brute, g
+
+
+def _graphs_up_to_six():
+    """Every labeled graph on at most 5 vertices, and one labeled graph per
+    isomorphism class on 6 vertices, also under a random relabeling."""
+    for n in range(6):
+        yield from brutes.all_graphs(n)
+    rng = random.Random(6)
+    seen = set()
+    for g in brutes.all_graphs(6):
+        form = canonical_form(g)
+        if form not in seen:
+            seen.add(form)
+            yield g
+            yield relabel(g, brutes.random_permutation(rng, 6))
+
+
+def test_automorphism_generators_give_brute_orbits_on_small_graphs():
+    """The least mask of each orbit is all ``_extend_one`` extends, so the
+    generators must have the orbits of the whole group on vertex sets."""
+    for g in _graphs_up_to_six():
+        _assert_generators_give_brute_orbits(g)
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_CORPUS))
+def test_automorphism_generators_give_brute_orbits_on_symmetric_graphs(name):
+    g = SYMMETRIC_CORPUS[name]
+    gens = _automorphism_generators(g)
+    edges = g.edges()
+    for gamma in gens:
+        assert sorted(gamma) == list(range(g.n))
+        assert all(g.has_edge(gamma[u], gamma[v]) for u, v in edges)
+    chain = brutes.stabilizer_chain_brute(g)
+    assert _mask_orbits(g.n, gens) == _mask_orbits(g.n, chain)
 
 
 def test_isomorphism_spot_pairs():

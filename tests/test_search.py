@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 import brutes
 from turanext import search as search_mod
 from turanext.closedform import Params, turan_clique_count, turan_edge_count
-from turanext.counting import contains_subgraph, count_copies
+from turanext.counting import Pattern, contains_subgraph, count_copies
 from turanext.errors import SearchCapError
 from turanext.graphs import (
+    Graph,
     canonical_form,
     complete_graph,
     complete_multipartite,
@@ -108,6 +111,50 @@ def test_free_classes_worker_invariance_generic():
     search_mod._CLASS_CACHE.clear()
     multi = [[g.adj for g in lvl] for lvl in free_graph_classes(7, c5, workers=2)]
     assert solo == multi
+
+
+K23 = complete_multipartite((2, 3))
+#: sha256 of repr([[(g.n, g.adj) for g in lvl] for lvl in levels]), taken with
+#: the unpruned search that extended every free mask of every parent
+PINNED_CLASS_LISTS = [
+    ("K3", [K3], 8, "b228e2b630f50c3ee398ecc2b57ee7174b83da2b0c13b6dbfe09526253d0b122"),
+    ("K4", [K4], 7, "ca1f506c9bbcf511ef5967220b88e325e282847cd7f7bb7a5f94cf183caddc1b"),
+    ("C4", [cycle_graph(4)], 8, "0c01e90529197b07f255bf538d2d99c9809b86fa821eb1203bcac33f4a532ec3"),
+    ("C5", [cycle_graph(5)], 7, "e8a7ecae41a827a326d29296e801ae80697e0c019c3db9ba75e279136b1c82f9"),
+    ("P4", [path_graph(4)], 7, "e9bbea6a203afa260f352c60f699361b3681d37263e84d775b3ae4ad5d2e69eb"),
+    ("K13", [complete_multipartite((1, 3))], 7, "dc01a7fb50552a8f83352cc4ade773979bbf99965a33eb43aa794ef6eaf486e4"),
+    ("K23", [K23], 7, "1fa86a6e0c013b719938291d8edc1c77eea0bf55084f6738477311a0bcff0d55"),
+    ("2K2", [graph_from_edges(4, [(0, 1), (2, 3)])], 7, "f0eb3c60002dfa1f7c43383e30832b77ca7a9f375889db6f85d51d78bd27edb4"),
+    ("K2+iso", [graph_from_edges(3, [(0, 1)])], 7, "b836252f6d0e652769d4606cf2d2396c03cf044310b9312171748aecb15f76a4"),
+    ("C4,C5", [cycle_graph(4), cycle_graph(5)], 7, "8a1d4d59859d3790f227d5d1295e0f13790443cf560e2f28098eefbbeb750308"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_free_classes_match_pinned_digests(workers):
+    """Every level, representative, labeling and order is the unpruned one."""
+    for name, forbidden, top, digest in PINNED_CLASS_LISTS:
+        search_mod._CLASS_CACHE.clear()
+        levels = free_graph_classes(top, forbidden, workers=workers)
+        text = repr([[(g.n, g.adj) for g in lvl] for lvl in levels])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+def test_extend_one_keeps_one_child_per_brute_orbit():
+    """One child per Aut(parent)-orbit of the free masks, orbits from every
+    permutation of the parent and freeness from the containment kernel."""
+    for forbidden in (K3, cycle_graph(4), K23):
+        pats = [Pattern(forbidden)]
+        for parent in [g for lvl in free_graph_classes(6, [forbidden]) for g in lvl]:
+            k = parent.n
+            group = brutes.automorphisms_brute(parent)
+            orbits = set()
+            for mask in range(1 << k):
+                rows = [row | (mask >> v & 1) << k for v, row in enumerate(parent.adj)]
+                if not contains_subgraph(Graph(k + 1, rows + [mask]), forbidden):
+                    images = (sum(1 << p[v] for v in range(k) if mask >> v & 1) for p in group)
+                    orbits.add(frozenset(images))
+            assert len(search_mod._extend_one(parent, pats)) == len(orbits), parent
 
 
 def test_free_classes_rejects_empty_forbidden_list():
