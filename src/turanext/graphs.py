@@ -11,12 +11,19 @@ self-contained canonical form for isomorphism testing, and graph6 I/O.
 
 The canonical form is the least leaf certificate of an
 individualization-refinement tree, whose leaves are the partitions that
-refinement finds homogeneous (discrete ones included).  Automorphisms found
-at equal leaves prune the tree as in McKay and Piperno, "Practical graph
-isomorphism, II" (J. Symb. Comput. 60, 2014) and Hartke and Radcliffe,
-"McKay's canonical graph labeling algorithm" (2009): only one child per
-orbit of the prefix's pointwise stabilizer is searched, and a branch that an
-automorphism maps onto a searched one is left at once.  The pruned branches
+refinement finds homogeneous (discrete ones included).  Refinement splits
+cells by their neighbour counts into the cells that changed since the
+partition was last equitable (the new singleton below an
+individualization, then the fragments each round splits off), groups in
+descending count.  Counts into the other cells are constant on each cell or
+fixed by earlier fresh counts, so this is the descending lexicographic
+order of the counts into all cells, and the bytes are those of refining
+against every cell.  Automorphisms found at equal leaves prune the tree as
+in McKay and Piperno, "Practical graph isomorphism, II" (J. Symb. Comput.
+60, 2014) and Hartke and Radcliffe, "McKay's canonical graph labeling
+algorithm" (2009): only one child per orbit of the prefix's pointwise
+stabilizer is searched, and a branch that an automorphism maps onto a
+searched one is left at once.  The pruned branches
 hold the same certificates as the kept ones, so the bytes are those of the
 full tree, and graphs with large automorphism groups (Turan graphs, disjoint
 unions of cycles) label quickly.  The automorphisms recorded on the way,
@@ -289,7 +296,7 @@ def subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
             j = index.get(u)
             if j is not None:
                 rows[i] |= 1 << j
-    return Graph(len(verts), rows)
+    return Graph._trusted(len(verts), tuple(rows))
 
 
 def relabel(graph: Graph, perm: Iterable[int]) -> Graph:
@@ -303,7 +310,8 @@ def relabel(graph: Graph, perm: Iterable[int]) -> Graph:
         for u in _bits(graph.adj[v]):
             row |= 1 << p[u]
         rows[p[v]] = row
-    return Graph(graph.n, rows)
+    # a relabeling of a valid graph is valid
+    return Graph._trusted(graph.n, tuple(rows))
 
 
 def add_edge(graph: Graph, u: int, v: int) -> Graph:
@@ -315,7 +323,7 @@ def add_edge(graph: Graph, u: int, v: int) -> Graph:
     rows = list(graph.adj)
     rows[u] |= 1 << v
     rows[v] |= 1 << u
-    return Graph(graph.n, rows)
+    return Graph._trusted(graph.n, tuple(rows))
 
 
 def strip_isolated(graph: Graph) -> Graph:
@@ -394,41 +402,86 @@ def proper_partitions(graph: Graph, k: int) -> Iterator[VertexPartition]:
 # ---------------------------------------------------------------------------
 # canonical forms
 
-def _refine(adj: tuple[int, ...], cells: list[int]) -> tuple[list[int], bool]:
+def _refine(
+    adj: tuple[int, ...], cells: list[int], fresh: list[int]
+) -> tuple[list[int], bool]:
     """Equitable refinement; cells split by neighbor counts, ordered invariantly.
 
+    The result is that of rounds that split every cell by its vector of
+    counts into all cells, groups in descending lexicographic order, until
+    a round splits nothing.  A round here splits by the counts into the
+    ``fresh`` cells only: the cells, in cell order, whose counts are not yet
+    known to be fixed on every cell.  At the root that is the unit cell;
+    below an individualization of an equitable partition, the new singleton
+    {u}; in each later round, the fragments the previous round split off,
+    less the last fragment of each split cell.  Every other count is
+    constant on each cell, or fixed within it by fresh counts that come
+    before it in cell order: the count into the last fragment is the count
+    into the old cell, constant, less the counts into the fragments before
+    it, and the count into the rest of an individualized cell is its old
+    count less the count into {u}.  So two vertices of a cell have equal
+    count vectors iff their fresh counts agree, and the first entry where
+    the vectors differ is a fresh one.  Splitting by one fresh cell after
+    another, groups in descending count, is then exactly the descending
+    lexicographic order: the cells, their order, and every certificate built
+    on them are those of the all-cells rounds.  Against a singleton {u} the
+    split is pure bit work: ``X & adj[u]`` first, then ``X & ~adj[u]``.
+
     The flag returned with the cells says whether adjacency depends only on
-    cell membership.  It is read off the last round's signatures: a cell's
-    count in each cell c must be 0 or |c|, less one in its own cell.
-    Singletons follow by equitability, so a discrete partition is homogeneous.
+    cell membership.  It is read off one vertex v of each non-singleton cell
+    of the equitable result: v's neighbours in each cell c must be none of c
+    or all of it, all but v itself in v's own cell.  Singletons follow by
+    equitability, so a discrete partition is homogeneous.
     """
-    while True:
-        changed = False
-        homogeneous = True
+    while fresh:
         out: list[int] = []
+        split: list[int] = []
         for cell in cells:
             if cell & (cell - 1) == 0:
                 out.append(cell)
                 continue
-            groups: dict[tuple[int, ...], int] = {}
-            for v in _bits(cell):
-                row = adj[v]
-                sig = tuple((row & c).bit_count() for c in cells)
-                groups[sig] = groups.get(sig, 0) | (1 << v)
-            if len(groups) == 1:
-                out.append(cell)
-                if homogeneous and not changed:
-                    homogeneous = all(
-                        k == 0 or k == c.bit_count() - (c == cell)
-                        for k, c in zip(sig, cells)
-                    )
-            else:
-                changed = True
-                for sig in sorted(groups, reverse=True):
-                    out.append(groups[sig])
-        cells = out
-        if not changed:
-            return cells, homogeneous
+            pieces = [cell]
+            size = cell.bit_count()
+            for f in fresh:
+                nxt: list[int] = []
+                if f & (f - 1) == 0:
+                    row = adj[f.bit_length() - 1]
+                    for x in pieces:
+                        a = x & row
+                        if a and a != x:
+                            nxt += (a, x ^ a)
+                        else:
+                            nxt.append(x)
+                else:
+                    for x in pieces:
+                        if x & (x - 1) == 0:
+                            nxt.append(x)
+                            continue
+                        groups: dict[int, int] = {}
+                        y = x
+                        while y:
+                            low = y & -y
+                            k = (adj[low.bit_length() - 1] & f).bit_count()
+                            groups[k] = groups.get(k, 0) | low
+                            y ^= low
+                        nxt += [groups[k] for k in sorted(groups, reverse=True)]
+                pieces = nxt
+                if len(pieces) == size:
+                    break
+            out += pieces
+            if len(pieces) > 1:
+                split += pieces[:-1]
+        cells, fresh = out, split
+    for cell in cells:
+        if cell & (cell - 1):
+            v = cell.bit_length() - 1
+            row = adj[v]
+            rest = ~(1 << v)
+            for c in cells:
+                x = row & c
+                if x and x != c & rest:
+                    return cells, False
+    return cells, True
 
 
 def _leaf_bytes(adj: tuple[int, ...], labeling: list[int]) -> bytes:
@@ -529,9 +582,9 @@ def _canonical_search(
                 _join_cycles(node[0], node[1], gamma)
         return depth
 
-    def descend(cells: list[int]) -> int:
+    def descend(cells: list[int], fresh: list[int]) -> int:
         """Search below ``cells``; return the depth to resume at."""
-        cells, homogeneous = _refine(adj, cells)
+        cells, homogeneous = _refine(adj, cells, fresh)
         if homogeneous:
             if len(cells) == n:
                 return leaf([cell.bit_length() - 1 for cell in cells])
@@ -557,7 +610,8 @@ def _canonical_search(
                 continue
             path.append(v)
             back = descend(
-                cells[:target] + [1 << v, cell ^ (1 << v)] + cells[target + 1 :]
+                cells[:target] + [1 << v, cell ^ (1 << v)] + cells[target + 1 :],
+                [1 << v],
             )
             path.pop()
             if back < depth:
@@ -565,7 +619,7 @@ def _canonical_search(
         orbits.pop()
         return min(back, depth)
 
-    descend([(1 << n) - 1])
+    descend([(1 << n) - 1], [(1 << n) - 1])
     return best_cert, best_labeling, gens
 
 

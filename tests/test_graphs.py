@@ -199,6 +199,22 @@ def test_subgraph_and_relabel():
         relabel(g, [0, 0, 1, 2, 3])
 
 
+def test_surgery_outputs_equal_validated_graphs():
+    # relabel, subgraph, add_edge and canonical_graph skip validation.
+    rng = random.Random(5)
+    for n in range(6):
+        for g in brutes.all_graphs(n):
+            outs = [
+                relabel(g, brutes.random_permutation(rng, n)),
+                subgraph(g, rng.sample(range(n), rng.randint(0, n))),
+                canonical_graph(g),
+            ]
+            if n > 1:
+                outs.append(add_edge(g, *rng.sample(range(n), 2)))
+            for out in outs:
+                assert out == Graph(out.n, out.adj), g.adj
+
+
 def test_strip_isolated():
     g = graph_from_edges(6, [(1, 4)])
     s = strip_isolated(g)
@@ -366,6 +382,16 @@ def test_canonical_labeling_matches_unpruned_oracle_on_drawn_graphs(g):
     _assert_matches_oracle(g)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_canonical_labeling_matches_unpruned_oracle_on_random_graphs(seed):
+    # G(n, n(n-1)/4), as in the benchmark's random corpus: refinement
+    # alone settles these, so the unpruned oracle stays cheap.
+    rng = random.Random(seed)
+    for n in range(16, 49):
+        slots = list(combinations(range(n), 2))
+        _assert_matches_oracle(graph_from_edges(n, rng.sample(slots, len(slots) // 2)))
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -383,37 +409,66 @@ def test_canonical_labeling_handles_large_automorphism_groups(g):
     assert canonical_graph(h) == canonical_graph(g)
 
 
-def _assert_refine_flags_homogeneity(g: Graph) -> None:
-    """Check the flag of ``_refine`` against the oracle at each node on a path.
+def _refine_nodes(g: Graph):
+    """Yield (cells, fresh) at each node of a few individualization paths.
 
-    The path starts at the unit partition and at each single-vertex
+    A path starts at the unit partition or at a single-vertex
     individualization, and individualizes the first vertex of the first
-    non-singleton cell until the partition is discrete.  A flag that is too
-    strict changes only speed, so the output tests cannot see it.
+    non-singleton cell of the oracle's refinement until it is discrete.
+    ``fresh`` is what the search would pass: every cell at a start, the new
+    singleton below an individualization of an equitable partition.  The
+    empty graph, whose search refines nothing, has no nodes.
     """
     full = (1 << g.n) - 1
-    starts = [[full]] + [[1 << v, full ^ (1 << v)] for v in range(g.n) if g.n > 1]
+    starts = [[full]] if g.n else []
+    starts += [[1 << v, full ^ (1 << v)] for v in range(g.n) if g.n > 1]
     for cells in starts:
+        fresh = list(cells)
         while True:
-            cells, homogeneous = _refine(g.adj, cells)
-            assert homogeneous == brutes._oracle_homogeneous(g.adj, cells), cells
+            yield cells, fresh
+            cells = brutes._oracle_refine(g.adj, cells)
             split = [i for i, c in enumerate(cells) if c & (c - 1)]
             if not split:
                 break
             t = split[0]
             low = cells[t] & -cells[t]
             cells = cells[:t] + [low, cells[t] ^ low] + cells[t + 1 :]
+            fresh = [low]
+
+
+def _assert_refine_matches_oracle(g: Graph) -> None:
+    """``_refine`` against the oracle's all-cells rounds at each path node.
+
+    The cells, their order and the homogeneity flag must all agree, whether
+    ``_refine`` gets the fresh cells the search passes or every cell as
+    fresh.  A flag that is too strict changes only speed, so the output
+    tests cannot see it.
+    """
+    for cells, fresh in _refine_nodes(g):
+        expected = brutes._oracle_refine(g.adj, cells)
+        homogeneous = brutes._oracle_homogeneous(g.adj, expected)
+        for given in (fresh, cells):
+            assert _refine(g.adj, cells, given) == (expected, homogeneous), given
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_refine_flags_homogeneity_on_all_graphs(n):
     for g in brutes.all_graphs(n):
-        _assert_refine_flags_homogeneity(g)
+        _assert_refine_matches_oracle(g)
+
+
+def test_refine_matches_oracle_on_six_vertex_graphs():
+    for g in _graphs_up_to_six():
+        if g.n == 6:
+            _assert_refine_matches_oracle(g)
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIC_CORPUS))
 def test_refine_flags_homogeneity_on_symmetric_graphs(name):
-    _assert_refine_flags_homogeneity(SYMMETRIC_CORPUS[name])
+    g = SYMMETRIC_CORPUS[name]
+    _assert_refine_matches_oracle(g)
+    perm = brutes.random_permutation(random.Random(name), g.n)
+    _assert_refine_matches_oracle(relabel(g, perm))
 
 
 def _mask_image(perm, mask: int) -> int:
