@@ -27,20 +27,36 @@ carries these conditions per position, and the kernel masks each position's
 candidates with them, pinned positions included.  So a copy count divides
 nothing: the embedding counts are copy counts times |Aut(T)|, and |Aut(T)|
 is the product of the chain's orbit sizes (orbit-stabilizer), so Aut(T) is
-never enumerated.  The through-vertex and through-edge counts sum the kernel
-over the plans of every root or every ordered pattern edge: the one
-conditioned embedding of a copy through v sends exactly one root to v.
+never enumerated.
+
+Through a host vertex or edge the kernel runs one plan per automorphism
+orbit O of pattern roots or of ordered pattern edges, from O's least member
+pinned to the host vertex or to (u, v).  The embeddings onto one copy of T
+differ by automorphisms, so a copy that uses the host edge uv pulls (u, v)
+back into exactly one orbit O, and its embeddings that send O's
+representative to (u, v) form one coset of S_O, the automorphisms fixing
+that representative pointwise.  Conditions from the stabilizer chain of S_O,
+along the plan from the first unpinned position, keep one embedding per
+coset: one per copy over all orbits.  By orbit-stabilizer |S_O| = |Aut(T)| /
+|O|, so the chain stops once its orbit sizes multiply to |S_O|, and an orbit
+with |S_O| = 1 needs none: for K3, C4, C5 and K4 a count through an edge is
+one kernel call.  The orbits, with their sizes, come by union-find from the
+generators of Aut(T) that the canonical labeling records, and a pinned chain
+tests only vertices of one orbit.  The whole-pattern chain tests the
+vertices of equal degree and neighbour degrees instead, so |Aut(T)| does not
+rest on the generators; an orbit size that does not divide it, or a pinned
+chain that ends short of |S_O|, raises ``InternalCheckError``.
 
 Existence tests use the plans without conditions and stop at the first
-embedding, which conditions could only delay.  Through a vertex or an edge
-they try one root or ordered edge per automorphism orbit: composing with an
-automorphism moves any embedding through v onto that orbit's representative.
+embedding, which conditions could only delay.  They use the same orbit
+plans: composing with an automorphism moves any embedding through v onto
+that orbit's representative.
 
 ``critical_masks`` serves the exhaustive search's freeness filter with its
 own recursion, which records where the neighbours of v land instead of
-counting.  It walks the root plan of one v per automorphism orbit (the
-plans ``orbit_root_plans`` already holds) from position 1, so it places
-t - v and compiles no plan of its own.  It keeps one embedding per orbit of
+counting.  It walks the plans of ``copy_root_plans``, from one v per
+automorphism orbit, from position 1, so it places t - v and compiles no
+plan or chain of its own.  Their conditions keep one embedding per coset of
 the automorphisms fixing v, which all map the neighbours of v onto the same
 host set.
 
@@ -49,12 +65,14 @@ All counts are Python ints and therefore exact at every size we accept.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from itertools import groupby
 from math import prod
 from typing import NamedTuple, Sequence
 
-from .graphs import Graph, _bits
+from .errors import InternalCheckError
+from .graphs import Graph, _automorphism_generators, _bits, _find
 
 PATTERN_CAP = 16
 
@@ -75,9 +93,16 @@ class Plan(NamedTuple):
 #: automorphisms that fix every earlier vertex
 Chain = tuple[tuple[int, tuple[int, ...]], ...]
 
+#: the first prefix of every automorphism orbit of prefixes, with the orbit's size
+Orbits = tuple[tuple[tuple[int, ...], int], ...]
+
 
 class Pattern:
-    """A small pattern graph plus its lazily compiled plans and symmetry data."""
+    """A small pattern graph plus its lazily compiled plans and symmetry data.
+
+    Plans are compiled for the whole pattern and for the first member of
+    every automorphism orbit of roots and of ordered edges, each once.
+    """
 
     def __init__(self, graph: Graph):
         if graph.n > PATTERN_CAP:
@@ -92,20 +117,39 @@ class Pattern:
         return _plan(self.graph)
 
     @cached_property
-    def root_plans(self) -> tuple[Plan, ...]:
-        """Plan starting at vertex r, for every r."""
-        return tuple(_plan(self.graph, (r,)) for r in range(self.graph.n))
+    def generators(self) -> list[list[int]]:
+        """Automorphisms generating Aut(t), as image lists."""
+        return _automorphism_generators(self.graph)
 
     @cached_property
-    def edge_plans(self) -> tuple[Plan, ...]:
-        """Plan starting at (x, y) and at (y, x), for every edge xy."""
+    def vertex_orbits(self) -> list[int]:
+        """Per vertex, the least vertex of its automorphism orbit."""
+        return _orbits([(v,) for v in range(self.graph.n)], self.generators)
+
+    @cached_property
+    def root_orbits(self) -> Orbits:
+        """The least root of every automorphism orbit, as a prefix, with the orbit's size."""
+        return _firsts([(v,) for v in range(self.graph.n)], self.vertex_orbits)
+
+    @cached_property
+    def edge_orbits(self) -> Orbits:
+        """The first ordered edge of every automorphism orbit, in the order
+        (x, y), (y, x) for each edge xy of ``graph.edges()``, with the orbit's size."""
         t = self.graph
-        return tuple(_plan(t, p) for x, y in t.edges() for p in ((x, y), (y, x)))
+        prefixes = [p for x, y in t.edges() for p in ((x, y), (y, x))]
+        return _firsts(prefixes, _orbits(prefixes, self.generators))
 
     @cached_property
     def chain(self) -> Chain:
-        """The stabilizer chain along the order of ``plan``."""
-        return _stabilizer_chain(self.graph, self.plan)
+        """The stabilizer chain along the order of ``plan``.  It tests the
+        vertices of equal degree and equal neighbour degrees, which every
+        automorphism preserves, rather than those of one ``vertex_orbits``
+        class: so |Aut(t)| does not rest on the generators, and
+        ``_copy_plans`` checks the generators' orbits against it."""
+        t = self.graph
+        degree = [row.bit_count() for row in t.adj]
+        invariant = [(degree[v], sorted(degree[u] for u in _bits(t.adj[v]))) for v in range(t.n)]
+        return _stabilizer_chain(t, self.plan, invariant)
 
     @cached_property
     def aut_count(self) -> int:
@@ -113,43 +157,69 @@ class Pattern:
         return prod(len(orbit) + 1 for _, orbit in self.chain)
 
     @cached_property
-    def conditions(self) -> list[tuple[int, int]]:
-        """Pairs (a, b): a counted embedding f has f(a) < f(b)."""
-        return _condition_pairs(self.chain)
-
-    @cached_property
     def copy_plan(self) -> Plan:
-        return _conditioned(self.plan, self.conditions)
+        """``plan`` keeping one embedding per copy."""
+        return _conditioned(self.plan, _condition_pairs(self.chain))
 
     @cached_property
-    def copy_root_plans(self) -> tuple[Plan, ...]:
-        return tuple(_conditioned(p, self.conditions) for p in self.root_plans)
+    def orbit_root_plans(self) -> tuple[Plan, ...]:
+        """The plan from the least root of every automorphism orbit: an
+        embedding sending any root to v, composed with an automorphism, sends
+        that orbit's representative to v."""
+        return tuple(_plan(self.graph, p) for p, _ in self.root_orbits)
 
     @cached_property
-    def copy_edge_plans(self) -> tuple[Plan, ...]:
-        return tuple(_conditioned(p, self.conditions) for p in self.edge_plans)
+    def orbit_edge_plans(self) -> tuple[Plan, ...]:
+        """The plan from the first ordered edge of every automorphism orbit."""
+        return tuple(_plan(self.graph, p) for p, _ in self.edge_orbits)
 
     @cached_property
     def orbit_reps(self) -> tuple[int, ...]:
         """The lowest vertex of every automorphism orbit, ascending."""
-        return tuple(plan.order[0] for plan in self.orbit_root_plans)
+        return tuple(p[0] for p, _ in self.root_orbits)
 
     @cached_property
-    def orbit_root_plans(self) -> tuple[Plan, ...]:
-        """``root_plans`` of one root per automorphism orbit: an embedding
-        sending any root to v, composed with an automorphism, sends that
-        orbit's representative to v."""
-        return _orbit_plans(self.graph, self.root_plans, 1)
+    def copy_root_plans(self) -> tuple[Plan, ...]:
+        """``orbit_root_plans``, each keeping one embedding per copy through
+        the host vertex its root is pinned to."""
+        return self._copy_plans(self.orbit_root_plans, self.root_orbits)
 
     @cached_property
-    def orbit_edge_plans(self) -> tuple[Plan, ...]:
-        """``edge_plans`` of one ordered edge per automorphism orbit."""
-        return _orbit_plans(self.graph, self.edge_plans, 2)
+    def copy_edge_plans(self) -> tuple[Plan, ...]:
+        """``orbit_edge_plans``, each keeping one embedding per copy that
+        sends its ordered edge onto the host edge it is pinned to."""
+        return self._copy_plans(self.orbit_edge_plans, self.edge_orbits)
+
+    def _copy_plans(self, plans: tuple[Plan, ...], orbits: Orbits) -> tuple[Plan, ...]:
+        """Each of ``plans``, from the first prefix of an orbit O, conditioned
+        by the chain of the pointwise stabilizer S_O of that prefix.
+
+        The embeddings onto one copy that send the prefix to the pinned host
+        vertices form one coset of S_O, and the conditions keep one embedding
+        of each coset.  |S_O| = |Aut(t)| / |O| (orbit-stabilizer), so the
+        chain stops once its orbit sizes multiply to |S_O|, and a plan whose
+        S_O is trivial needs none.  Generators missing an automorphism would
+        split an orbit: its size would not divide |Aut(t)|, or the chain,
+        which tests one orbit only, would end short of |S_O|.  Both raise
+        ``InternalCheckError``.
+        """
+        out = []
+        for plan, (prefix, size) in zip(plans, orbits):
+            stabilizer, rest = divmod(self.aut_count, size)
+            if rest:
+                raise InternalCheckError("an orbit size does not divide |Aut|")
+            if stabilizer > 1:
+                chain = _stabilizer_chain(
+                    self.graph, plan, self.vertex_orbits, len(prefix), stabilizer
+                )
+                plan = _conditioned(plan, _condition_pairs(chain))
+            out.append(plan)
+        return tuple(out)
 
     @cached_property
     def deletion_plans(self) -> tuple:
-        """``_deletion_plan`` of every plan in ``orbit_root_plans``, for ``critical_masks``."""
-        return tuple(_deletion_plan(self.graph, p) for p in self.orbit_root_plans)
+        """``_deletion_plan`` of every plan in ``copy_root_plans``, for ``critical_masks``."""
+        return tuple(_deletion_plan(p) for p in self.copy_root_plans)
 
     def __repr__(self) -> str:
         return f"Pattern({self.graph!r})"
@@ -191,40 +261,74 @@ def _plan(t: Graph, prefix: tuple[int, ...] = ()) -> Plan:
     return Plan(tuple(order), back, [()] * n, [()] * n)
 
 
-def _orbit_plans(t: Graph, plans: tuple[Plan, ...], k: int) -> tuple[Plan, ...]:
-    """The first of ``plans`` in every automorphism orbit of their first ``k`` vertices."""
-    reps: list[Plan] = []
-    for plan in plans:
-        # an embedding of t into itself is an automorphism
-        if not any(_embed(t, rep, plan.order[:k], limit=1) for rep in reps):
-            reps.append(plan)
-    return tuple(reps)
+def _orbits(prefixes: list[tuple[int, ...]], generators: list[list[int]]) -> list[int]:
+    """Per prefix, the index of the first prefix in its orbit under the group
+    that ``generators`` generate; ``prefixes`` must be closed under it.
+
+    Union-find joins each prefix with its image under every generator, keeping
+    the least index as the root.
+    """
+    index = {p: i for i, p in enumerate(prefixes)}
+    parent = list(range(len(prefixes)))
+    for gamma in generators:
+        for i, p in enumerate(prefixes):
+            a, b = _find(parent, i), _find(parent, index[tuple(gamma[v] for v in p)])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [_find(parent, i) for i in range(len(prefixes))]
 
 
-def _stabilizer_chain(t: Graph, plan: Plan, start: int = 0) -> Chain:
+def _firsts(prefixes: list[tuple[int, ...]], orbits: list[int]) -> Orbits:
+    """The first of ``prefixes`` in every orbit, by ``_orbits``, with the orbit's size."""
+    sizes = Counter(orbits)
+    return tuple((p, sizes[i]) for i, p in enumerate(prefixes) if orbits[i] == i)
+
+
+def _stabilizer_chain(
+    t: Graph, plan: Plan, orbit_of: Sequence[object], start: int = 0, stabilizer: int = 0
+) -> Chain:
     """For each position i >= ``start`` of ``plan`` (a plan of t without
-    conditions), its vertex a and every other vertex that an automorphism of t
+    conditions), its vertex a and every later vertex that an automorphism of t
     fixing the vertices before a sends a to.
 
     An embedding of t into itself is an automorphism, so each orbit member is
-    one pinned existence test: at most n(n - 1)/2 tests, with Aut(t) never
-    listed.
+    one pinned existence test, with Aut(t) never listed.  Only the later
+    vertices b with ``orbit_of[b] == orbit_of[a]`` are tested, so ``orbit_of``
+    must label the vertices of each automorphism orbit alike.  With
+    ``stabilizer`` > 0, the order of the automorphisms fixing the vertices
+    before ``start``, the chain stops once its orbit sizes multiply to
+    ``stabilizer``: the automorphisms fixing the vertices placed so far are
+    then the identity alone, and every later orbit is trivial.  A chain that
+    ends short of ``stabilizer`` raises ``InternalCheckError``.
     """
+    chain = []
+    reached = 1
     order = plan.order
-    return tuple(
-        (order[i], tuple(b for b in order[i + 1 :] if _embed(t, plan, order[:i] + (b,), limit=1)))
-        for i in range(start, len(order))
-    )
+    for i in range(start, len(order)):
+        if reached == stabilizer:
+            break
+        a = order[i]
+        orbit = tuple(
+            b
+            for b in order[i + 1 :]
+            if orbit_of[b] == orbit_of[a] and _embed(t, plan, order[:i] + (b,), limit=1)
+        )
+        chain.append((a, orbit))
+        reached *= len(orbit) + 1
+    if stabilizer and reached != stabilizer:
+        raise InternalCheckError("a stabilizer chain does not reach its stabilizer's order")
+    return tuple(chain)
 
 
 def _condition_pairs(chain: Chain) -> list[tuple[int, int]]:
     """The order conditions of ``chain``: f(a) < f(b) for every other member b
     of the orbit of a, less those the rest imply (f(a) < f(b) < f(c) gives
-    f(a) < f(c)), which the kernel would only check again."""
+    f(a) < f(c)), which the kernel would only check again.  A vertex past the
+    end of a stopped chain has a trivial orbit and implies nothing."""
     above: dict[int, set[int]] = {}  # vertex -> the vertices that must map above it
     pairs: list[tuple[int, int]] = []
     for a, orbit in reversed(chain):
-        implied = set().union(*(above[b] for b in orbit))
+        implied = set().union(*(above.get(b, ()) for b in orbit))
         pairs += [(a, b) for b in orbit if b not in implied]
         above[a] = implied.union(orbit)
     return pairs
@@ -391,17 +495,15 @@ def exists_embedding_through_edge(g: Graph, u: int, v: int, t: Graph | Pattern) 
 # critical masks: the freeness filter of the exhaustive search
 
 
-def _deletion_plan(t: Graph, root_plan: Plan) -> tuple[Plan, list[bool], int]:
-    """``root_plan``, the plan of t from a vertex v, readied for
+def _deletion_plan(plan: Plan) -> tuple[Plan, list[bool], int]:
+    """``plan``, a copy root plan of t from a vertex v, readied for
     ``_neighbour_images``, which places t - v along positions 1 onwards.
 
-    The conditions come from the stabilizer chain from position 1: the
-    automorphisms fixing v act on t - v and keep N(v) in place, so one
-    embedding per orbit of them finds every neighbour image.  Then, per
-    position, whether it is a neighbour of v, and the position just past the
-    last such neighbour.
+    Its conditions keep one embedding per coset of the automorphisms fixing
+    v, which act on t - v and keep N(v) in place, so the kept embeddings find
+    every neighbour image.  Then, per position, whether it is a neighbour of
+    v, and the position just past the last such neighbour.
     """
-    plan = _conditioned(root_plan, _condition_pairs(_stabilizer_chain(t, root_plan, start=1)))
     sees = [0 in back for back in plan.back]
     split = max((i + 1 for i, s in enumerate(sees) if s), default=1)
     return plan, sees, split

@@ -34,6 +34,7 @@ from turanext.counting import (
     min_pattern_degree,
     pattern_degree,
 )
+from turanext.errors import InternalCheckError
 from turanext.graphs import (
     Graph,
     add_edge,
@@ -58,6 +59,15 @@ PATTERNS = {
     "star3": complete_multipartite((1, 3)),
     "2K2": graph_from_edges(4, [(0, 1), (2, 3)]),
     "K2+iso": graph_from_edges(3, [(0, 1)]),
+    # several orbits of roots and of ordered edges, some with a nontrivial
+    # pointwise stabilizer, so a through-count runs conditioned pinned plans
+    "diamond": graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+    "paw": graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)]),
+    "bull": graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)]),
+    "house": graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4)]),
+    # a triangle with a pendant edge at one corner and a pendant path of
+    # length two at another: no automorphism but the identity
+    "asym6": graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (1, 4), (0, 3), (3, 5)]),
 }
 # automorphism groups of order 10, 12, 48, 72, 72 and 120: each copy has that
 # many embeddings, and the order conditions that keep one of them do the most
@@ -193,40 +203,87 @@ def test_through_vertex_and_edge_match_brute(name):
 
 
 def test_pattern_compiles_each_plan_once(monkeypatch):
-    """Kernel calls on one Pattern compile each plan once: the whole pattern,
-    every root and every ordered edge, and nothing on later calls.  The order
-    conditions, the automorphism count and the critical masks' plans come
-    with them."""
+    """Kernel calls on one Pattern compile each plan and each stabilizer chain
+    once, and nothing on later calls.  The plans are the whole pattern's and
+    those from the first root and the first ordered edge of each automorphism
+    orbit: 1 + 1 + 1 for C5, 1 + 3 + 5 for the paw.  The chains are the whole
+    pattern's and one per orbit whose prefix has a nontrivial pointwise
+    stabilizer: C5's root; the paw's two roots of degree 3 and 1, and its
+    pendant edge in both directions.  The automorphism count and the critical
+    masks' plans come with them."""
     prefixes = []
+    starts = []
     compile_plan = counting._plan
+    compile_chain = counting._stabilizer_chain
 
-    def counted(t, prefix=()):
+    def counted_plan(t, prefix=()):
         prefixes.append(prefix)
         return compile_plan(t, prefix)
 
-    monkeypatch.setattr(counting, "_plan", counted)
-    pat = Pattern(cycle_graph(5))
-    rng = random.Random("plans")
-    hosts = [complete_graph(6)] + [brutes.random_graph(rng, 7, 0.6) for _ in range(3)]
-    for i, host in enumerate(hosts):
-        count_copies(host, pat)
-        count_embeddings(host, pat)
-        exists_embedding(host, pat)
-        for v in range(host.n):
-            pattern_degree(host, v, pat)
-            embeddings_through_vertex(host, v, pat)
-            exists_embedding_through_vertex(host, v, pat)
-        for u, v in host.edges():
-            copies_through_edge(host, u, v, pat)
-            embeddings_through_edge(host, u, v, pat)
-            exists_embedding_through_edge(host, u, v, pat)
-        critical_masks(host, pat)
-        if i == 0:
-            first = len(prefixes)
-    # the stabilizer chains, the orbit representatives and the deletion plans
-    # reuse plans already compiled, so they compile nothing of their own
-    assert len(prefixes) == first == 1 + 5 + 2 * 5
-    assert len(set(prefixes)) == len(prefixes)
+    def counted_chain(t, plan, orbit_of, start=0, stabilizer=0):
+        starts.append((plan.order, start))
+        return compile_chain(t, plan, orbit_of, start, stabilizer)
+
+    monkeypatch.setattr(counting, "_plan", counted_plan)
+    monkeypatch.setattr(counting, "_stabilizer_chain", counted_chain)
+    for graph, plans, chains in ((cycle_graph(5), 3, 2), (PATTERNS["paw"], 9, 5)):
+        prefixes.clear()
+        starts.clear()
+        pat = Pattern(graph)
+        rng = random.Random("plans")
+        hosts = [complete_graph(6)] + [brutes.random_graph(rng, 7, 0.6) for _ in range(3)]
+        for i, host in enumerate(hosts):
+            count_copies(host, pat)
+            count_embeddings(host, pat)
+            exists_embedding(host, pat)
+            for v in range(host.n):
+                pattern_degree(host, v, pat)
+                embeddings_through_vertex(host, v, pat)
+                exists_embedding_through_vertex(host, v, pat)
+            for u, v in host.edges():
+                copies_through_edge(host, u, v, pat)
+                embeddings_through_edge(host, u, v, pat)
+                exists_embedding_through_edge(host, u, v, pat)
+            critical_masks(host, pat)
+            if i == 0:
+                first = (len(prefixes), len(starts))
+        # the stabilizer chains and the deletion plans reuse plans already
+        # compiled, and the deletion plans reuse the chains of the copy root plans
+        assert (len(prefixes), len(starts)) == first == (plans, chains)
+        assert len(set(prefixes)) == len(prefixes)
+        assert len(set(starts)) == len(starts)
+
+
+def _brute_orbits(auts: list[tuple[int, ...]], prefixes: list[tuple[int, ...]]):
+    """The first of ``prefixes`` in each orbit under ``auts``, with the orbit's size."""
+    out, seen = [], set()
+    for p in prefixes:
+        if p not in seen:
+            orbit = {tuple(a[v] for v in p) for a in auts}
+            seen |= orbit
+            out.append((p, len(orbit)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(PATTERNS) + sorted(set(SYMMETRIC) - {"petersen"}))
+def test_orbits_and_copy_plans_match_brute(name):
+    """The orbits of roots and of ordered edges, with their first members and
+    sizes, against Aut(t) listed by brute force, and one copy plan per orbit.
+    Pinned to its own prefix in t, a copy plan keeps exactly one of the
+    automorphisms fixing that prefix: they form one coset of the stabilizer."""
+    graph = {**PATTERNS, **SYMMETRIC}[name]
+    pat = Pattern(graph)
+    auts = brutes.automorphisms_brute(graph)
+    assert pat.aut_count == len(auts)
+    assert pat.root_orbits == _brute_orbits(auts, [(v,) for v in range(graph.n)])
+    ordered = [p for x, y in graph.edges() for p in ((x, y), (y, x))]
+    assert pat.edge_orbits == _brute_orbits(auts, ordered)
+    assert len(pat.copy_root_plans) == len(pat.root_orbits)
+    assert len(pat.copy_edge_plans) == len(pat.edge_orbits)
+    orbits = pat.root_orbits + pat.edge_orbits
+    for (prefix, _), plan in zip(orbits, pat.copy_root_plans + pat.copy_edge_plans):
+        assert plan.order[: len(prefix)] == prefix
+        assert counting._embed(graph, plan, prefix) == 1
 
 
 def _copy(pattern_edges: list[tuple[int, int]], image: tuple[int, ...]):
@@ -330,6 +387,76 @@ def test_copies_at_pattern_cap_do_not_hang():
         assert count_copies(complete_graph(16), complete_graph(12)) == 1820
         assert count_copies(complete_graph(16), complete_graph(16)) == 1
         assert count_embeddings(complete_graph(16), empty_graph(16)) == math.factorial(16)
+
+
+def test_copy_plans_check_the_generators_orbits():
+    """Orbits from generators that miss an automorphism (K3 with the
+    transposition (1 2) alone) or that hold a non-automorphism (a 3-cycle on
+    K2 plus an isolated vertex) raise instead of miscounting: |Aut| comes
+    from the whole-pattern chain, which does not use the generators."""
+    pat = Pattern(complete_graph(3))
+    pat.generators = [[0, 2, 1]]
+    with pytest.raises(InternalCheckError, match="does not reach"):
+        pat.copy_root_plans
+    pat = Pattern(PATTERNS["K2+iso"])
+    pat.generators = [[1, 2, 0]]
+    with pytest.raises(InternalCheckError, match="does not divide"):
+        pat.copy_root_plans
+
+
+def _spider(*legs: int) -> Graph:
+    """A centre 0 with a path of each given length hanging from it."""
+    edges, n = [], 1
+    for length in legs:
+        edges += [(0 if k == 0 else n + k - 1, n + k) for k in range(length)]
+        n += length
+    return graph_from_edges(n, edges)
+
+
+def _complement(g: Graph) -> Graph:
+    pairs = combinations(range(g.n), 2)
+    return graph_from_edges(g.n, [(u, v) for u, v in pairs if not g.has_edge(u, v)])
+
+
+def _plan_heavy():
+    """Patterns at or near the vertex cap with few automorphisms, so most
+    pairs of roots or of ordered edges lie in different orbits; with |Aut|
+    and the numbers of orbits of roots and of ordered edges."""
+    asym8 = _complement(_spider(1, 2, 4))
+    return {
+        # 16 vertices, 105 edges, no automorphism but the identity
+        "co-spider": (_complement(_spider(1, 2, 3, 4, 5)), 1, 16, 210),
+        # 15 vertices, 91 edges, one twin pair: the ends of the two legs of
+        # length one.  66 edges avoid both, so (182 + 2 * 66) / 2 arc orbits
+        "co-twin-spider": (_complement(_spider(1, 1, 3, 4, 5)), 2, 14, 157),
+        # two disjoint copies of an asymmetric 8-vertex graph with 21 edges
+        "2-asym8": (
+            graph_from_edges(16, asym8.edges() + [(u + 8, v + 8) for u, v in asym8.edges()]),
+            2,
+            8,
+            42,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_plan_heavy()))
+def test_plans_of_nearly_asymmetric_patterns_do_not_hang(name):
+    """Orbits come from the automorphism generators, the pinned chains test
+    one orbit only and the chain behind |Aut| only vertices of equal degree
+    and neighbour degrees, so no family of plans proves two roots or two
+    edges apart by failing searches of the pattern in itself."""
+    graph, aut, roots, arcs = _plan_heavy()[name]
+    pat = Pattern(graph)
+    with deadline(30):
+        families = [
+            pat.orbit_root_plans,
+            pat.orbit_edge_plans,
+            pat.copy_root_plans,
+            pat.copy_edge_plans,
+            pat.deletion_plans,
+        ]
+    assert pat.aut_count == aut
+    assert [len(f) for f in families] == [roots, arcs, roots, arcs, roots]
 
 
 def test_through_edge_requires_host_edge():
