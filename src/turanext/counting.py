@@ -47,10 +47,10 @@ vertices of equal degree and neighbour degrees instead, so |Aut(T)| does not
 rest on the generators; an orbit size that does not divide it, or a pinned
 chain that ends short of |S_O|, raises ``InternalCheckError``.
 
-Existence tests use the plans without conditions and stop at the first
-embedding, which conditions could only delay.  They use the same orbit
-plans: composing with an automorphism moves any embedding through v onto
-that orbit's representative.
+Existence tests run the same copy plans and stop at the first embedding
+they keep: a copy exists exactly when one of its embeddings meets the
+conditions.  When the answer is no, which is every freeness re-check, the
+conditions cut the search tree, by up to |Aut(T)| / |O| for a pinned plan.
 
 ``critical_masks`` serves the exhaustive search's freeness filter with its
 own recursion, which records where the neighbours of v land instead of
@@ -102,6 +102,8 @@ class Pattern:
 
     Plans are compiled for the whole pattern and for the first member of
     every automorphism orbit of roots and of ordered edges, each once.
+    Every count and every existence test runs their conditioned ``copy_*``
+    forms.
     """
 
     def __init__(self, graph: Graph):
@@ -162,37 +164,22 @@ class Pattern:
         return _conditioned(self.plan, _condition_pairs(self.chain))
 
     @cached_property
-    def orbit_root_plans(self) -> tuple[Plan, ...]:
-        """The plan from the least root of every automorphism orbit: an
-        embedding sending any root to v, composed with an automorphism, sends
-        that orbit's representative to v."""
-        return tuple(_plan(self.graph, p) for p, _ in self.root_orbits)
-
-    @cached_property
-    def orbit_edge_plans(self) -> tuple[Plan, ...]:
-        """The plan from the first ordered edge of every automorphism orbit."""
-        return tuple(_plan(self.graph, p) for p, _ in self.edge_orbits)
-
-    @cached_property
-    def orbit_reps(self) -> tuple[int, ...]:
-        """The lowest vertex of every automorphism orbit, ascending."""
-        return tuple(p[0] for p, _ in self.root_orbits)
-
-    @cached_property
     def copy_root_plans(self) -> tuple[Plan, ...]:
-        """``orbit_root_plans``, each keeping one embedding per copy through
-        the host vertex its root is pinned to."""
-        return self._copy_plans(self.orbit_root_plans, self.root_orbits)
+        """The plan from the least root of every automorphism orbit, each
+        keeping one embedding per copy through the host vertex its root is
+        pinned to."""
+        return self._copy_plans(self.root_orbits)
 
     @cached_property
     def copy_edge_plans(self) -> tuple[Plan, ...]:
-        """``orbit_edge_plans``, each keeping one embedding per copy that
-        sends its ordered edge onto the host edge it is pinned to."""
-        return self._copy_plans(self.orbit_edge_plans, self.edge_orbits)
+        """The plan from the first ordered edge of every automorphism orbit,
+        each keeping one embedding per copy that sends its ordered edge onto
+        the host edge it is pinned to."""
+        return self._copy_plans(self.edge_orbits)
 
-    def _copy_plans(self, plans: tuple[Plan, ...], orbits: Orbits) -> tuple[Plan, ...]:
-        """Each of ``plans``, from the first prefix of an orbit O, conditioned
-        by the chain of the pointwise stabilizer S_O of that prefix.
+    def _copy_plans(self, orbits: Orbits) -> tuple[Plan, ...]:
+        """The plan from the first prefix of every orbit O in ``orbits``,
+        conditioned by the chain of the pointwise stabilizer S_O of that prefix.
 
         The embeddings onto one copy that send the prefix to the pinned host
         vertices form one coset of S_O, and the conditions keep one embedding
@@ -204,10 +191,11 @@ class Pattern:
         ``InternalCheckError``.
         """
         out = []
-        for plan, (prefix, size) in zip(plans, orbits):
+        for prefix, size in orbits:
             stabilizer, rest = divmod(self.aut_count, size)
             if rest:
                 raise InternalCheckError("an orbit size does not divide |Aut|")
+            plan = _plan(self.graph, prefix)
             if stabilizer > 1:
                 chain = _stabilizer_chain(
                     self.graph, plan, self.vertex_orbits, len(prefix), stabilizer
@@ -215,11 +203,6 @@ class Pattern:
                 plan = _conditioned(plan, _condition_pairs(chain))
             out.append(plan)
         return tuple(out)
-
-    @cached_property
-    def deletion_plans(self) -> tuple:
-        """``_deletion_plan`` of every plan in ``copy_root_plans``, for ``critical_masks``."""
-        return tuple(_deletion_plan(p) for p in self.copy_root_plans)
 
     def __repr__(self) -> str:
         return f"Pattern({self.graph!r})"
@@ -438,7 +421,7 @@ def count_embeddings(g: Graph, t: Graph | Pattern) -> int:
 
 
 def exists_embedding(g: Graph, t: Graph | Pattern) -> bool:
-    return _embed(g, as_pattern(t).plan, limit=1) > 0
+    return _embed(g, as_pattern(t).copy_plan, limit=1) > 0
 
 
 def automorphism_count(t: Graph) -> int:
@@ -465,7 +448,7 @@ def embeddings_through_vertex(g: Graph, v: int, t: Graph | Pattern) -> int:
 
 
 def exists_embedding_through_vertex(g: Graph, v: int, t: Graph | Pattern) -> bool:
-    return _through_vertex(g, v, as_pattern(t).orbit_root_plans, 1) > 0
+    return _through_vertex(g, v, as_pattern(t).copy_root_plans, 1) > 0
 
 
 def _through_edge(g: Graph, u: int, v: int, plans: tuple[Plan, ...], limit: int) -> int:
@@ -488,40 +471,31 @@ def embeddings_through_edge(g: Graph, u: int, v: int, t: Graph | Pattern) -> int
 
 
 def exists_embedding_through_edge(g: Graph, u: int, v: int, t: Graph | Pattern) -> bool:
-    return _through_edge(g, u, v, as_pattern(t).orbit_edge_plans, 1) > 0
+    return _through_edge(g, u, v, as_pattern(t).copy_edge_plans, 1) > 0
 
 
 # ---------------------------------------------------------------------------
 # critical masks: the freeness filter of the exhaustive search
 
 
-def _deletion_plan(plan: Plan) -> tuple[Plan, list[bool], int]:
-    """``plan``, a copy root plan of t from a vertex v, readied for
-    ``_neighbour_images``, which places t - v along positions 1 onwards.
-
-    Its conditions keep one embedding per coset of the automorphisms fixing
-    v, which act on t - v and keep N(v) in place, so the kept embeddings find
-    every neighbour image.  Then, per position, whether it is a neighbour of
-    v, and the position just past the last such neighbour.
-    """
-    sees = [0 in back for back in plan.back]
-    split = max((i + 1 for i, s in enumerate(sees) if s), default=1)
-    return plan, sees, split
-
-
-def _neighbour_images(
-    g: Graph, dplan: tuple[Plan, list[bool], int], found: set[int]
-) -> None:
+def _neighbour_images(g: Graph, plan: Plan, found: set[int]) -> None:
     """Add to ``found`` every host set onto which some embedding of t - v maps N(v).
 
-    Position 0 is v, the new vertex outside the host, so its image row holds
-    every host vertex and the search starts at position 1.  Past the last
-    neighbour of v in the plan only existence matters, so the search stops at
-    the first completion, and skips a placement whose mask is already known.
+    ``plan`` is a copy root plan of t from v.  Its conditions keep one
+    embedding per coset of the automorphisms fixing v, which act on t - v
+    and keep N(v) in place, so the kept embeddings find every neighbour
+    image.  Position 0 is v, the new vertex outside the host, so its image
+    row holds every host vertex and the search starts at position 1.  Past
+    the last neighbour of v in the plan only existence matters, so the
+    search stops at the first completion, and skips a placement whose mask
+    is already known.
     """
-    plan, sees, split = dplan
     _, back, under, over = plan
     n = len(back)
+    # per position, whether it is a neighbour of v; then the position just
+    # past the last such neighbour
+    sees = [0 in row for row in back]
+    split = max((i + 1 for i, s in enumerate(sees) if s), default=1)
     gadj = g.adj
     full = (1 << g.n) - 1
     image = [full] + [0] * (n - 1)
@@ -565,8 +539,8 @@ def critical_masks(g: Graph, t: Graph | Pattern) -> list[int]:
     pat = as_pattern(t)
     found: set[int] = set()
     if pat.graph.n - 1 <= g.n:
-        for dplan in pat.deletion_plans:
-            _neighbour_images(g, dplan, found)
+        for plan in pat.copy_root_plans:
+            _neighbour_images(g, plan, found)
     minimal: list[int] = []
     # distinct sets of one size contain no other, so each size is checked
     # against the smaller sets kept so far only

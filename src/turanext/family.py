@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .counting import (
     Pattern,
@@ -65,8 +66,14 @@ class DecompositionFamily:
     members: tuple[Graph, ...]
     minimal_members: tuple[Graph, ...]
 
+    @cached_property
+    def minimal_cores(self) -> tuple[Pattern, ...]:
+        """The non-isolated core of each minimal member, as a Pattern whose
+        plans are compiled once for every host."""
+        return tuple(Pattern(strip_isolated(m)) for m in self.minimal_members)
 
-def _contains_member(host: Graph, member: Graph, core: Graph) -> bool:
+
+def _contains_member(host: Graph, member: Graph, core: Pattern) -> bool:
     """Host contains the member under the core-plus-vertex-count convention."""
     return host.n >= member.n and contains_subgraph(host, core)
 
@@ -97,7 +104,8 @@ def decomposition_family(h: Graph) -> DecompositionFamily:
     members = tuple(
         sorted(seen.values(), key=lambda g: (g.n, g.edge_count(), canonical_form(g)))
     )
-    cores = {id(m): strip_isolated(m) for m in members}
+    # one Pattern per core, so its plans are compiled once for every host
+    cores = {id(m): Pattern(strip_isolated(m)) for m in members}
     minimal = tuple(
         a
         for a in members
@@ -110,8 +118,8 @@ def decomposition_family(h: Graph) -> DecompositionFamily:
 
 def is_family_free(g: Graph, family: DecompositionFamily) -> bool:
     """True iff g contains no member (minimal members suffice by transitivity)."""
-    for member in family.minimal_members:
-        if _contains_member(g, member, strip_isolated(member)):
+    for member, core in zip(family.minimal_members, family.minimal_cores):
+        if _contains_member(g, member, core):
             return False
     return True
 
@@ -171,7 +179,7 @@ def is_edge_critical(h: Graph) -> bool:
 
 def _greedy_family_free(n: int, fam: DecompositionFamily) -> Graph:
     """Maximal family-free graph grown by scanning edge slots in index order."""
-    cores = [Pattern(strip_isolated(m)) for m in fam.minimal_members if m.n <= n]
+    cores = [c for m, c in zip(fam.minimal_members, fam.minimal_cores) if m.n <= n]
     g = empty_graph(n)
     for u in range(n):
         for v in range(u + 1, n):

@@ -194,6 +194,15 @@ def free_graph_classes(
     return levels[: n + 1]
 
 
+def _require_free_hosts(n: int, h: Pattern) -> None:
+    """Raise ``ValueError`` unless some n-vertex graph is h-free: an edgeless
+    h on at most n vertices lies in every n-vertex graph."""
+    if h.graph.edge_count() == 0 and h.graph.n <= n:
+        raise ValueError(
+            f"H has no edges and at most {n} vertices, so every {n}-vertex graph contains it"
+        )
+
+
 def _exact_cap(h: Pattern) -> int:
     """Dense forbidden patterns prune hard enough to afford one more level."""
     g = h.graph
@@ -215,6 +224,7 @@ def extremal_exact(
     and each is re-checked (h-free, attains the maximum) before returning.
     """
     tp, hp = as_pattern(t), as_pattern(h)
+    _require_free_hosts(n, hp)
     cap = _exact_cap(hp)
     if n > cap:
         raise SearchCapError(
@@ -363,6 +373,7 @@ def extremal_local_search(
         raise ValueError("need 0 <= n <= 64")
     cfg = cfg if cfg is not None else SearchConfig(mode="local")
     tp, hp = as_pattern(t), as_pattern(h)
+    _require_free_hosts(n, hp)
     rng = random.Random(cfg.seed)
     best_graph: Graph | None = None
     best = -1

@@ -340,6 +340,18 @@ def test_exsearch_local_labels_symmetric_witness(capsys):
     assert row["best"] == "1210"
 
 
+def test_exsearch_edgeless_forbidden_pattern_exits_2(capsys):
+    """Every 3-vertex graph contains K1, so both routes reject the request
+    before searching, with the same message."""
+    errors = []
+    for mode in ("exhaustive", "local"):
+        code, out, err = run_cli(capsys, "exsearch", "n=3", "T=K2", "H=K1", f"mode={mode}")
+        assert (code, out) == (2, "")
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert "H has no edges" in errors[0]
+
+
 def test_exsearch_multipartite_mode_is_redirected(capsys):
     code, _, err = run_cli(
         capsys, "exsearch", "n=6", "T=K3", "H=K4", "mode=multipartite"

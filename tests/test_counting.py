@@ -95,6 +95,7 @@ def test_embeddings_and_copies_match_brute(name):
         for t in (pattern, SHARED[name]):
             assert count_embeddings(host, t) == embeddings
             assert count_copies(host, t) == copies
+            assert exists_embedding(host, t) == (embeddings > 0)
 
 
 def test_copies_known_values():
@@ -209,8 +210,9 @@ def test_pattern_compiles_each_plan_once(monkeypatch):
     orbit: 1 + 1 + 1 for C5, 1 + 3 + 5 for the paw.  The chains are the whole
     pattern's and one per orbit whose prefix has a nontrivial pointwise
     stabilizer: C5's root; the paw's two roots of degree 3 and 1, and its
-    pendant edge in both directions.  The automorphism count and the critical
-    masks' plans come with them."""
+    pendant edge in both directions.  Existence tests and the critical masks
+    run the same conditioned plans, and the automorphism count comes with
+    them."""
     prefixes = []
     starts = []
     compile_plan = counting._plan
@@ -247,8 +249,8 @@ def test_pattern_compiles_each_plan_once(monkeypatch):
             critical_masks(host, pat)
             if i == 0:
                 first = (len(prefixes), len(starts))
-        # the stabilizer chains and the deletion plans reuse plans already
-        # compiled, and the deletion plans reuse the chains of the copy root plans
+        # the stabilizer chains, the existence tests and the critical masks
+        # reuse the plans and chains already compiled
         assert (len(prefixes), len(starts)) == first == (plans, chains)
         assert len(set(prefixes)) == len(prefixes)
         assert len(set(starts)) == len(starts)
@@ -305,6 +307,7 @@ def test_symmetric_patterns_match_brute(name):
         copies = set(mapped)
         assert count_embeddings(host, pattern) == len(images)
         assert count_copies(host, pattern) == len(copies)
+        assert exists_embedding(host, pattern) == bool(copies)
         for v in range(n):
             degree = sum(v in verts for verts, _ in copies)
             assert pattern_degree(host, v, pattern) == degree
@@ -448,15 +451,9 @@ def test_plans_of_nearly_asymmetric_patterns_do_not_hang(name):
     graph, aut, roots, arcs = _plan_heavy()[name]
     pat = Pattern(graph)
     with deadline(30):
-        families = [
-            pat.orbit_root_plans,
-            pat.orbit_edge_plans,
-            pat.copy_root_plans,
-            pat.copy_edge_plans,
-            pat.deletion_plans,
-        ]
+        families = [pat.copy_root_plans, pat.copy_edge_plans]
     assert pat.aut_count == aut
-    assert [len(f) for f in families] == [roots, arcs, roots, arcs, roots]
+    assert [len(f) for f in families] == [roots, arcs]
 
 
 def test_through_edge_requires_host_edge():
@@ -477,11 +474,14 @@ def test_through_vertex_requires_host_vertex():
 
 
 def test_orbit_reps():
-    assert Pattern(cycle_graph(5)).orbit_reps == (0,)
-    assert Pattern(path_graph(4)).orbit_reps == (0, 1)
-    assert Pattern(PATTERNS["star3"]).orbit_reps == (0, 1)
-    assert Pattern(PATTERNS["K2+iso"]).orbit_reps == (0, 2)
-    assert Pattern(complete_graph(1)).orbit_reps == (0,)
+    def reps(g):
+        return tuple(p[0] for p, _ in Pattern(g).root_orbits)
+
+    assert reps(cycle_graph(5)) == (0,)
+    assert reps(path_graph(4)) == (0, 1)
+    assert reps(PATTERNS["star3"]) == (0, 1)
+    assert reps(PATTERNS["K2+iso"]) == (0, 2)
+    assert reps(complete_graph(1)) == (0,)
 
 
 def _brute_relabeling(g: Graph, perms: list[tuple[int, ...]]) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ from turanext.graphs import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    empty_graph,
     graph_from_edges,
     is_isomorphic,
     path_graph,
@@ -151,7 +152,7 @@ def test_extend_one_keeps_one_child_per_brute_orbit():
             orbits = set()
             for mask in range(1 << k):
                 rows = [row | (mask >> v & 1) << k for v, row in enumerate(parent.adj)]
-                if not contains_subgraph(Graph(k + 1, rows + [mask]), forbidden):
+                if not contains_subgraph(Graph(k + 1, rows + [mask]), pats[0]):
                     images = (sum(1 << p[v] for v in range(k) if mask >> v & 1) for p in group)
                     orbits.add(frozenset(images))
             assert len(search_mod._extend_one(parent, pats)) == len(orbits), parent
@@ -211,6 +212,19 @@ def test_extremal_exact_zero_case():
     res = extremal_exact(4, K3, complete_graph(2))
     assert res.best == 0
     assert res.witnesses[0].edge_count() == 0
+
+
+def test_edgeless_forbidden_pattern_on_at_most_n_vertices_is_rejected():
+    """An edgeless H on at most n vertices lies in every n-vertex graph, so
+    neither route has an H-free host to search; on more vertices than n,
+    every n-vertex graph is H-free."""
+    for h in (complete_graph(1), empty_graph(3)):
+        for search in (extremal_exact, extremal_local_search):
+            with pytest.raises(ValueError, match="no edges"):
+                search(3, K3, h)
+    assert extremal_exact(2, complete_graph(2), empty_graph(3)).best == 1
+    assert extremal_local_search(2, complete_graph(2), empty_graph(3)).best == 1
+    assert extremal_exact(0, complete_graph(2), complete_graph(1)).best == 0
 
 
 def test_extremal_exact_caps():
