@@ -17,6 +17,15 @@ placed neighbours, so every pattern edge is checked when its later endpoint
 is placed; no degree filter is needed for correctness, and on the dense
 hosts where counting is costly it prunes nothing.
 
+The last position is counted by popcount inside the loop over the
+second-to-last, not placed.  A plan carries its last position's
+constraints split at the second-to-last (``Tail``): the part fixed before
+that loop is intersected once, and each candidate x there adds the
+popcount of that set less x, cut by N(x) or by x's order only where the
+split says so.  Only a prefix that pins every position but the last
+reaches the last position's own lists; its candidates are counted before
+the recursion starts.
+
 The kernel counts copies directly, under symmetry-breaking order conditions
 (Grochow and Kellis, RECOMB 2007).  ``Pattern`` walks a stabilizer chain once,
 along its plan order: for each vertex a, the orbit of a under the
@@ -77,16 +86,36 @@ from .graphs import Graph, _automorphism_generators, _bits, _find
 PATTERN_CAP = 16
 
 
+class Tail(NamedTuple):
+    """The constraints of a plan's last position, split at the second-to-last
+    position p.  ``back``, ``under`` and ``over`` are the last position's
+    lists less p, fixed before p is placed; ``adjacent``, ``above`` and
+    ``below`` say whether p was in them: the last image must be a neighbour
+    of p's image, lie above it or lie below it."""
+
+    back: tuple[int, ...]
+    under: tuple[int, ...]
+    over: tuple[int, ...]
+    adjacent: bool
+    above: bool
+    below: bool
+
+
 class Plan(NamedTuple):
     """A compiled backtracking plan.  Positions index ``order``; per position,
     ``back`` lists the earlier positions adjacent to it, ``under`` the earlier
     positions whose host image must lie below its own and ``over`` those whose
-    host image must lie above it."""
+    host image must lie above it.  ``tail`` is ``_tail`` of the three lists,
+    so a plan changed by ``_replace`` must get a new one: the kernel counts
+    the last position by popcount inside the loop over the second-to-last,
+    and reads the last position's lists only when the prefix pins every
+    position but the last."""
 
     order: tuple[int, ...]
     back: list[list[int]]
     under: Sequence[Sequence[int]]
     over: Sequence[Sequence[int]]
+    tail: Tail
 
 
 #: per vertex a in plan order: a and the rest of its orbit under the
@@ -241,7 +270,19 @@ def _plan(t: Graph, prefix: tuple[int, ...] = ()) -> Plan:
         placed |= 1 << best
     pos = {v: i for i, v in enumerate(order)}
     back = [[pos[u] for u in _bits(adj[v]) if pos[u] < i] for i, v in enumerate(order)]
-    return Plan(tuple(order), back, [()] * n, [()] * n)
+    empty = [()] * n
+    return Plan(tuple(order), back, empty, empty, _tail(back, empty, empty))
+
+
+def _tail(
+    back: Sequence[Sequence[int]], under: Sequence[Sequence[int]], over: Sequence[Sequence[int]]
+) -> Tail:
+    """Split the last position's lists into the part fixed before the
+    second-to-last position is placed and flags for that position."""
+    last, penult = len(back) - 1, len(back) - 2
+    rows = back[last], under[last], over[last]
+    tback, tunder, tover = (tuple(j for j in row if j != penult) for row in rows)
+    return Tail(tback, tunder, tover, *(penult in row for row in rows))
 
 
 def _orbits(prefixes: list[tuple[int, ...]], generators: list[list[int]]) -> list[int]:
@@ -329,17 +370,24 @@ def _conditioned(plan: Plan, pairs: list[tuple[int, int]]) -> Plan:
             under[k].append(i)
         else:
             over[i].append(k)
-    return plan._replace(under=under, over=over)
+    return plan._replace(under=under, over=over, tail=_tail(plan.back, under, over))
 
 
 def _embed(g: Graph, plan: Plan, pinned: tuple[int, ...] = (), limit: int = 0) -> int:
     """Count injective edge-preserving maps along ``plan`` into g that meet its
     order conditions and send its first positions to the host vertices ``pinned``.
 
+    The last position is counted, not placed: at the second-to-last position
+    its candidates from ``plan.tail``'s lists are intersected once, and each
+    candidate x there adds the popcount of that set less x, cut by N(x) and
+    by x's order when the tail's flags say so.  When ``pinned`` fixes every
+    position but the last, the last position's candidates are counted
+    directly and ``rec`` never runs.
+
     With ``limit`` > 0 the search stops once it has found at least ``limit``
     maps and returns a count of at least ``limit``.
     """
-    _, back, under, over = plan
+    _, back, under, over, tail = plan
     n = len(back)
     if n > g.n:
         return 0
@@ -369,6 +417,17 @@ def _embed(g: Graph, plan: Plan, pinned: tuple[int, ...] = (), limit: int = 0) -
     if npin == n:
         return 1
     last = n - 1
+    if npin == last:
+        cand = avail
+        for j in back[last]:
+            cand &= image[j]
+        for j in under[last]:
+            cand &= -(bit[j] << 1)
+        for j in over[last]:
+            cand &= bit[j] - 1
+        return cand.bit_count()
+    penult = n - 2
+    tback, tunder, tover, adjacent, above, below = tail
     # no count reaches g.n ** n, so without a limit the search never stops early
     stop = limit if limit > 0 else g.n**n + 1
 
@@ -382,9 +441,41 @@ def _embed(g: Graph, plan: Plan, pinned: tuple[int, ...] = (), limit: int = 0) -
             cand &= -(bit[j] << 1)
         for j in over[i]:
             cand &= bit[j] - 1
-        if i == last:
-            return cand.bit_count()
         total = 0
+        if i == penult:
+            # the last position's candidates that do not depend on x
+            base = avail
+            for j in tback:
+                base &= image[j]
+            for j in tunder:
+                base &= -(bit[j] << 1)
+            for j in tover:
+                base &= bit[j] - 1
+            if not base:
+                return 0
+            if adjacent and not (above or below):
+                # the commonest tail, in a loop of its own: N(x) holds no x
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    total += (base & gadj[low.bit_length() - 1]).bit_count()
+                    if total >= stop:
+                        break
+                return total
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                last_cand = base & ~low
+                if adjacent:
+                    last_cand &= gadj[low.bit_length() - 1]
+                if above:
+                    last_cand &= -(low << 1)
+                if below:
+                    last_cand &= low - 1
+                total += last_cand.bit_count()
+                if total >= stop:
+                    break
+            return total
         while cand:
             low = cand & -cand
             cand ^= low
@@ -490,7 +581,7 @@ def _neighbour_images(g: Graph, plan: Plan, found: set[int]) -> None:
     search stops at the first completion, and skips a placement whose mask
     is already known.
     """
-    _, back, under, over = plan
+    _, back, under, over, _ = plan
     n = len(back)
     # per position, whether it is a neighbour of v; then the position just
     # past the last such neighbour

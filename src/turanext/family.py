@@ -147,9 +147,7 @@ def biex(n: int, h: Graph, family: DecompositionFamily | None = None) -> BiexRes
     if n > _BIEX_CAP:
         raise SearchCapError(f"exact excess search is capped at n = {_BIEX_CAP}")
     fam = family if family is not None else decomposition_family(h)
-    cores = [
-        strip_isolated(m) for m in fam.minimal_members if m.n <= n
-    ]
+    cores = [c for m, c in zip(fam.minimal_members, fam.minimal_cores) if m.n <= n]
     if not cores:
         witness = complete_graph(n)
     else:
@@ -207,25 +205,27 @@ def _greedy_max_cut(g: Graph) -> list[tuple[int, int]]:
     return [(u, v) for u, v in g.edges() if side[u] != side[v]]
 
 
-def lower_bound_construction(n: int, h: Graph, m: int) -> tuple[Graph, int]:
+def lower_bound_construction(n: int, h: Graph | Pattern, m: int) -> tuple[Graph, int]:
     """Turan graph with a family-free bipartite overlay in its largest part.
 
     Builds a dense family-free graph on n vertices, restricts it to the
     ceil(n/r) vertices of largest degree, keeps a greedy max-cut bipartite
     subgraph of that, and overlays those edges on the first part of T_r(n).
     Returns the resulting graph and its m-clique count; the graph is checked
-    to contain no copy of h before returning.
+    to contain no copy of h before returning.  Pass h as a ``Pattern`` to
+    compile its plans once over several calls.
     """
     if n > _CONSTRUCTION_CAP:
         raise SearchCapError(f"construction is capped at n = {_CONSTRUCTION_CAP}")
-    fam = decomposition_family(h)
+    graph = h.graph if isinstance(h, Pattern) else h
+    fam = decomposition_family(graph)
     r = fam.r
     if not (r + 1 > m >= 2):
         raise ValueError("need chromatic number of h greater than m >= 2")
     if n < r:
         raise ValueError("need n >= r for a spanning multipartite base")
     if n <= _BIEX_CAP:
-        dense = biex(n, h, family=fam).witness
+        dense = biex(n, graph, family=fam).witness
     else:
         dense = _greedy_family_free(n, fam)
     top = math.ceil(n / r)

@@ -454,7 +454,8 @@ def check_family_biex() -> Outcome:
 
 def check_construction() -> Outcome:
     fails: list[str] = []
-    k222 = graphs.complete_multipartite((2, 2, 2))
+    # one Pattern, so its plans are compiled once for every n
+    k222 = counting.Pattern(graphs.complete_multipartite((2, 2, 2)))
     for n in range(8, 17):
         g, count = family.lower_bound_construction(n, k222, 2)
         base = closedform.turan_edge_count(n, 2)

@@ -68,6 +68,10 @@ PATTERNS = {
     # a triangle with a pendant edge at one corner and a pendant path of
     # length two at another: no automorphism but the identity
     "asym6": graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (1, 4), (0, 3), (3, 5)]),
+    # no second-to-last plan position; two nonadjacent twins that an order
+    # condition alone tells apart
+    "K1": complete_graph(1),
+    "E2": empty_graph(2),
 }
 # automorphism groups of order 10, 12, 48, 72, 72 and 120: each copy has that
 # many embeddings, and the order conditions that keep one of them do the most
@@ -201,6 +205,73 @@ def test_through_vertex_and_edge_match_brute(name):
                 for t in (pattern, SHARED[name]):
                     assert embeddings_through_edge(host, a, b, t) == brute
                     assert exists_embedding_through_edge(host, a, b, t) == (brute > 0)
+
+
+# the (adjacent, above, below) flags of the whole-pattern copy plan's tail:
+# one pattern per way its last position can meet the second-to-last
+TAILS = {
+    "K1": (False, False, False),
+    "K2": (True, True, False),
+    "E2": (False, True, False),
+    "P4": (False, False, False),
+    "K23": (False, True, False),
+    "C5": (True, False, False),
+}
+
+
+def _kept_images(host: Graph, plan: counting.Plan, t: Graph) -> list[tuple[int, ...]]:
+    """The embeddings of t into host that meet the order conditions of
+    ``plan``, by brute force, as the images of its positions in plan order."""
+    out = []
+    for image in brutes.embedding_images_brute(host, t):
+        f = tuple(image[v] for v in plan.order)
+        if all(f[j] < f[k] for k, row in enumerate(plan.under) for j in row) and all(
+            f[j] > f[k] for k, row in enumerate(plan.over) for j in row
+        ):
+            out.append(f)
+    return out
+
+
+def _tail_hosts(seed: str):
+    """The hosts of ``_through_hosts``, then dense ones on 5 and 6 vertices,
+    where the 5-vertex patterns have many copies."""
+    yield from _through_hosts(seed)
+    yield from (complete_graph(5), complete_graph(6), complete_multipartite((3, 3)))
+    rng = random.Random(seed)
+    for n in (5, 6, 6):
+        yield brutes.random_graph(rng, n, 0.8)
+
+
+@pytest.mark.parametrize("name", sorted(TAILS))
+def test_kernel_with_pinned_tails_matches_brute(name):
+    """Every copy plan with all but its last two positions pinned, and with
+    all but its last one pinned (the one case counted before the recursion),
+    against the kept embeddings listed by brute force; with limits, the
+    kernel stops at no fewer than the limit.  Counts and existence tests
+    through the public functions run on these patterns in the tests above."""
+    graph = {**PATTERNS, **SYMMETRIC}[name]
+    pat = Pattern(graph)
+    assert pat.copy_plan.tail[3:] == TAILS[name]
+    plans = (pat.copy_plan,) + pat.copy_root_plans + pat.copy_edge_plans
+    for host in _tail_hosts(name):
+        for plan in plans:
+            kept = _kept_images(host, plan, graph)
+            for depth in sorted({max(graph.n - 2, 0), graph.n - 1}):
+                for pinned in permutations(range(host.n), depth):
+                    want = sum(f[:depth] == pinned for f in kept)
+                    assert counting._embed(host, plan, pinned) == want
+                    for limit in (1, 2):
+                        got = counting._embed(host, plan, pinned, limit)
+                        assert min(got, limit) == min(want, limit)
+
+
+def test_plans_carry_their_tail():
+    """Every plan a Pattern compiles carries the split of its own last
+    position, so no plan changed by ``_replace`` keeps a stale one."""
+    for graph in (*PATTERNS.values(), *SYMMETRIC.values()):
+        pat = Pattern(graph)
+        for plan in (pat.plan, pat.copy_plan, *pat.copy_root_plans, *pat.copy_edge_plans):
+            assert plan.tail == counting._tail(plan.back, plan.under, plan.over)
 
 
 def test_pattern_compiles_each_plan_once(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 import brutes
 from turanext.closedform import turan_clique_count, turan_edge_count
-from turanext.counting import contains_subgraph, count_cliques
+from turanext.counting import Pattern, contains_subgraph, count_cliques
 from turanext.errors import SearchCapError
 from turanext.family import (
     biex,
@@ -188,8 +188,11 @@ def test_is_edge_critical():
 
 def test_lower_bound_construction_battery():
     # n=8 exercises the exact-excess seed, n=13 the greedy fallback
+    pattern = Pattern(K222)
     for n in (8, 13):
         g, count = lower_bound_construction(n, K222, 2)
+        # a compiled pattern, shared across calls, builds the same graph
+        assert lower_bound_construction(n, pattern, 2) == (g, count)
         assert g.n == n
         assert not contains_subgraph(g, K222)
         assert count == count_cliques(g, 2) == g.edge_count()
