@@ -241,7 +241,6 @@ def _cmd_decomp(reader: ParamReader) -> CommandOutput:
     h = reader.graph_("H")
     reader.done()
     fam = family_mod.decomposition_family(h)
-    minimal = set(map(graphs.canonical_form, fam.minimal_members))
     rows = []
     for i, member in enumerate(fam.members):
         rows.append(
@@ -249,7 +248,8 @@ def _cmd_decomp(reader: ParamReader) -> CommandOutput:
                 "index": str(i),
                 "vertices": str(member.n),
                 "edges": str(member.edge_count()),
-                "minimal": "true" if graphs.canonical_form(member) in minimal else "false",
+                # members are pairwise non-isomorphic, so equality here is identity
+                "minimal": "true" if member in fam.minimal_members else "false",
                 "graph6": graphs.graph6_encode(member),
             }
         )

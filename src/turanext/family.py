@@ -101,9 +101,8 @@ def decomposition_family(h: Graph) -> DecompositionFamily:
                         "two color classes with no cross edges would merge"
                     )
                 seen.setdefault(canonical_form(member), member)
-    members = tuple(
-        sorted(seen.values(), key=lambda g: (g.n, g.edge_count(), canonical_form(g)))
-    )
+    order = sorted(seen, key=lambda form: (seen[form].n, seen[form].edge_count(), form))
+    members = tuple(seen[form] for form in order)
     # one Pattern per core, so its plans are compiled once for every host
     cores = {id(m): Pattern(strip_isolated(m)) for m in members}
     minimal = tuple(
@@ -153,7 +152,8 @@ def biex(n: int, h: Graph, family: DecompositionFamily | None = None) -> BiexRes
     else:
         level = free_graph_classes(n, cores)[n]
         top = max(g.edge_count() for g in level)
-        # the level ascends in canonical form, so this is the top count's largest form
+        # the level holds canonical graphs in ascending canonical form, so this
+        # is the canonical graph of the top count's largest form
         witness = [g for g in level if g.edge_count() == top][-1]
     if not is_family_free(witness, fam):
         raise InternalCheckError("excess witness fails the family-freeness recheck")

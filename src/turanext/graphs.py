@@ -30,6 +30,12 @@ unions of cycles) label quickly.  The automorphisms recorded on the way,
 with the permutations inside the cells of the best leaf, generate the whole
 automorphism group; the isomorph-free search reads them off to extend one
 neighbourhood per orbit.
+
+A canonical form is n followed by the upper triangle of the canonically
+relabeled adjacency matrix, so it encodes its canonical graph:
+``_graph_of_form`` decodes it, inverting ``canonical_form`` on canonical
+graphs, and ``canonical_graph`` is built through it.  The isomorph-free
+search stores only forms and decodes each class's representative once.
 """
 
 from __future__ import annotations
@@ -630,15 +636,34 @@ def canonical_form(graph: Graph) -> CanonicalForm:
     return bytes([graph.n]) + _canonical_search(graph.adj, graph.n)[0]
 
 
+def _graph_of_form(form: CanonicalForm) -> Graph:
+    """The graph whose ``canonical_form`` is ``form``: its canonical graph.
+
+    The first byte is n and the rest is ``_leaf_bytes`` of the best leaf,
+    the upper triangle column by column, MSB first, padded to whole bytes.
+    Read from the last column back, column j is the j lowest bits left, and
+    its bit b is the pair (j - 1 - b, j).
+    """
+    n = form[0]
+    rows = [0] * n
+    if n > 1:
+        width = n * (n - 1) // 2
+        bits = int.from_bytes(form[1:], "big") >> (-width % 8)
+        for j in range(n - 1, 0, -1):
+            col = bits & ((1 << j) - 1)
+            bits >>= j
+            while col:
+                low = col & -col
+                i = j - low.bit_length()
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+                col ^= low
+    return Graph._trusted(n, tuple(rows))
+
+
 def canonical_graph(graph: Graph) -> Graph:
     """Canonically relabeled copy (equal for all members of an isomorphism class)."""
-    if graph.n == 0:
-        return graph
-    labeling = _canonical_search(graph.adj, graph.n)[1]
-    perm = [0] * graph.n
-    for position, v in enumerate(labeling):
-        perm[v] = position
-    return relabel(graph, perm)
+    return _graph_of_form(canonical_form(graph))
 
 
 def _automorphism_generators(graph: Graph) -> list[list[int]]:

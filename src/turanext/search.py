@@ -15,8 +15,9 @@ Masks in one orbit of the parent's automorphism group give isomorphic
 children, so each parent is extended only by the least mask of each orbit,
 the first step of McKay's canonical augmentation ("Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998).  That roughly halves the canonical
-labelings and keeps the class lists as they were: the first child of a
-class in (parent, mask) order has the least mask of its orbit.
+labelings.  A class is represented by its canonical graph, decoded once
+from the canonical form that deduplicated it, so a class list depends only
+on the forbidden set and not on the order the children are generated in.
 Class lists are cached per forbidden set, so scans that vary the counted
 pattern or n reuse the expensive part.
 
@@ -52,6 +53,7 @@ from .errors import InternalCheckError, SearchCapError
 from .graphs import (
     Graph,
     _automorphism_generators,
+    _graph_of_form,
     canonical_form,
     canonical_graph,
     chromatic_number,
@@ -104,9 +106,9 @@ class ExtremalResult:
 _CLASS_CACHE: dict[tuple[bytes, ...], list[list[Graph]]] = {}
 
 
-def _extend_one(parent: Graph, pats: list[Pattern]) -> list[tuple[bytes, Graph]]:
-    """Free extensions of one parent, one per Aut(parent)-orbit of masks, in
-    mask order; (form, child).
+def _extend_one(parent: Graph, pats: list[Pattern]) -> list[bytes]:
+    """Canonical forms of the free extensions of one parent, one per
+    Aut(parent)-orbit of masks, in mask order.
 
     The new vertex k joins the parent vertices in ``mask``.  Since the parent
     is free, any forbidden copy in the child runs through k, so the child is
@@ -114,14 +116,12 @@ def _extend_one(parent: Graph, pats: list[Pattern]) -> list[tuple[bytes, Graph]]
 
     An automorphism of the parent maps its critical masks onto critical
     masks, so an orbit of masks is free or not as a whole, and it maps the
-    child of a mask onto the child of the image.  Only the least mask of each
-    orbit is kept.  The first child of a class in (parent, mask) order is
-    kept too, since a smaller mask in its orbit would give an earlier child
-    of the class, so ``free_graph_classes`` picks the representatives it
-    would pick from every mask.  The masks are walked in ascending order, and
-    the first unseen one marks its orbit through one image table per
-    generator, built in O(1) per mask.  Any set of automorphisms keeps this
-    sound; a generating set prunes every duplicate orbit.
+    child of a mask onto the child of the image, which has the same
+    canonical form.  Only the least mask of each orbit is kept, so the set
+    of forms is that of every mask.  The masks are walked in ascending
+    order, and the first unseen one marks its orbit through one image table
+    per generator, built in O(1) per mask.  Any set of automorphisms keeps
+    this sound; a generating set prunes every duplicate orbit.
     """
     k = parent.n
     critical = [c for p in pats for c in critical_masks(parent, p)]
@@ -135,6 +135,7 @@ def _extend_one(parent: Graph, pats: list[Pattern]) -> list[tuple[bytes, Graph]]
     seen = bytearray(1 << k)
     out = []
     rows = parent.adj
+    bit = 1 << k
     for mask in range(1 << k):
         if seen[mask]:
             continue
@@ -149,11 +150,13 @@ def _extend_one(parent: Graph, pats: list[Pattern]) -> list[tuple[bytes, Graph]]
                     stack.append(m2)
         if any(c & mask == c for c in critical):
             continue
-        grown = tuple(
-            row | (1 << k) if (mask >> v) & 1 else row for v, row in enumerate(rows)
-        )
-        child = Graph._trusted(k + 1, grown + (mask,))
-        out.append((canonical_form(child), child))
+        child = [*rows, mask]
+        m = mask
+        while m:
+            low = m & -m
+            child[low.bit_length() - 1] |= bit
+            m ^= low
+        out.append(canonical_form(Graph._trusted(k + 1, tuple(child))))
     return out
 
 
@@ -165,8 +168,9 @@ def free_graph_classes(
     Returns a list of n+1 levels; level k holds exactly one representative of
     every isomorphism class of k-vertex graphs containing no forbidden
     pattern, in ascending canonical form.  The representative of a class is
-    the first child generated in (parent, mask) order.  Results are cached
-    per forbidden set and extended on demand.
+    its canonical graph, decoded from the form.  Results are cached per
+    forbidden set and extended on demand; each call gets its own level
+    lists, so a caller's edits do not reach the cache.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -186,12 +190,9 @@ def free_graph_classes(
                 )
         else:
             batches = [_extend_one(parent, pats) for parent in parents]
-        chosen: dict[bytes, Graph] = {}
-        for batch in batches:
-            for form, child in batch:
-                chosen.setdefault(form, child)
-        levels.append([chosen[form] for form in sorted(chosen)])
-    return levels[: n + 1]
+        forms = sorted(set().union(*batches))
+        levels.append([_graph_of_form(form) for form in forms])
+    return [list(level) for level in levels[: n + 1]]
 
 
 def _require_free_hosts(n: int, h: Pattern) -> None:
@@ -220,8 +221,10 @@ def extremal_exact(
     """Exhaustive maximum of copies of t over all h-free n-vertex graphs.
 
     Enumerates every isomorphism class of h-free graphs on n vertices and
-    counts exactly; witnesses are returned canonically labeled and deduped,
-    and each is re-checked (h-free, attains the maximum) before returning.
+    counts exactly.  The witnesses are the level graphs that attain the
+    maximum, so they are canonical graphs, one per class, in ascending
+    canonical form; each is re-checked (h-free, attains the maximum) before
+    returning.
     """
     tp, hp = as_pattern(t), as_pattern(h)
     _require_free_hosts(n, hp)
@@ -235,22 +238,20 @@ def extremal_exact(
     workers = cfg.workers if cfg is not None else 1
     level = free_graph_classes(n, [hp], workers=workers)[n]
     best = -1
-    arg: list[Graph] = []
+    witnesses: list[Graph] = []
     for g in level:
         c = count_copies(g, tp)
         if c > best:
-            best, arg = c, [g]
+            best, witnesses = c, [g]
         elif c == best:
-            arg.append(g)
-    # the level is in ascending canonical form, so the witnesses are too
-    witnesses = tuple(canonical_graph(g) for g in arg)
+            witnesses.append(g)
     for w in witnesses:
         if contains_subgraph(w, hp) or count_copies(w, tp) != best:
             raise InternalCheckError("extremal witness failed re-verification")
     return ExtremalResult(
         n=n,
         best=best,
-        witnesses=witnesses,
+        witnesses=tuple(witnesses),
         exhaustive=True,
         unique_up_to_iso=len(witnesses) == 1,
     )

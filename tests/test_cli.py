@@ -12,7 +12,7 @@ from test_counting import deadline
 from turanext import __version__
 from turanext.cli import SWEEP_ROW_CAP, main
 from turanext.closedform import Params, anchored_degree_count
-from turanext.graphs import graph6_decode
+from turanext.graphs import canonical_graph, graph6_decode
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +117,24 @@ def test_biex_command(capsys):
     assert row["exhaustive"] == "true"
     witness = graph6_decode(row["witness_graph6"])
     assert witness.n == 6 and witness.edge_count() == 7
+    # the witness is a class representative, so it is its own canonical graph
+    assert canonical_graph(witness) == witness
+
+
+def test_construct_command(capsys):
+    code, out, _ = run_cli(capsys, "biex", "n=8", "H=K_{2,2,2}")
+    assert code == 0
+    (row,) = parse_csv(out)[1]
+    assert row["witness_graph6"] == "G{EQPO"
+    witness = graph6_decode(row["witness_graph6"])
+    assert canonical_graph(witness) == witness
+    # the overlay is read off that witness, so its bytes are pinned too
+    code, out, _ = run_cli(capsys, "construct", "n=8", "H=K_{2,2,2}", "m=2")
+    assert code == 0
+    (row,) = parse_csv(out)[1]
+    assert (row["count"], row["edges"], row["graph6"]) == ("19", "19", "Gk~vf_")
+    g = graph6_decode(row["graph6"])
+    assert g.n == 8 and g.edge_count() == 19
 
 
 def test_decomp_command(capsys, tmp_path):

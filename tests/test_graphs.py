@@ -15,6 +15,7 @@ from turanext.graphs import (
     Graph,
     VertexPartition,
     _automorphism_generators,
+    _graph_of_form,
     _refine,
     add_edge,
     anchored_turan_graph,
@@ -323,6 +324,24 @@ def test_canonical_graph_idempotent(g):
     c = canonical_graph(g)
     assert canonical_form(c) == canonical_form(g)
     assert canonical_graph(c) == c
+
+
+def test_graph_of_form_inverts_canonical_form():
+    """Decoding a form gives a valid graph with that form, the same graph
+    under every relabeling: the canonical graph."""
+    assert _graph_of_form(b"\x00") == empty_graph(0)
+    assert _graph_of_form(b"\x01") == empty_graph(1)
+    rng = random.Random(2024)
+    corpus = [empty_graph(0), empty_graph(1), complete_graph(64), turan_graph(64, 5)]
+    corpus += [brutes.random_graph(rng, n, rng.random()) for n in range(6, 65)]
+    for g in corpus:
+        form = canonical_form(g)
+        decoded = _graph_of_form(form)
+        assert decoded == Graph(decoded.n, decoded.adj), g.n
+        assert canonical_form(decoded) == form, g.n
+        for _ in range(2):
+            h = relabel(g, brutes.random_permutation(rng, g.n))
+            assert _graph_of_form(canonical_form(h)) == decoded, g.n
 
 
 def _disjoint_union(*parts: Graph) -> Graph:

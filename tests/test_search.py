@@ -14,6 +14,7 @@ from turanext.errors import SearchCapError
 from turanext.graphs import (
     Graph,
     canonical_form,
+    canonical_graph,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -115,30 +116,50 @@ def test_free_classes_worker_invariance_generic():
 
 
 K23 = complete_multipartite((2, 3))
-#: sha256 of repr([[(g.n, g.adj) for g in lvl] for lvl in levels]), taken with
-#: the unpruned search that extended every free mask of every parent
+#: sha256 of repr([[(g.n, g.adj) for g in lvl] for lvl in levels]).  Taken at
+#: commit 9545d95, not from the code under test, as the ``canonical_graph``
+#: image of the lists then returned, whose representative was the first child
+#: of its class in (parent, mask) order and which were pinned against the
+#: unpruned search that extended every free mask of every parent.
 PINNED_CLASS_LISTS = [
-    ("K3", [K3], 8, "b228e2b630f50c3ee398ecc2b57ee7174b83da2b0c13b6dbfe09526253d0b122"),
-    ("K4", [K4], 7, "ca1f506c9bbcf511ef5967220b88e325e282847cd7f7bb7a5f94cf183caddc1b"),
-    ("C4", [cycle_graph(4)], 8, "0c01e90529197b07f255bf538d2d99c9809b86fa821eb1203bcac33f4a532ec3"),
-    ("C5", [cycle_graph(5)], 7, "e8a7ecae41a827a326d29296e801ae80697e0c019c3db9ba75e279136b1c82f9"),
-    ("P4", [path_graph(4)], 7, "e9bbea6a203afa260f352c60f699361b3681d37263e84d775b3ae4ad5d2e69eb"),
-    ("K13", [complete_multipartite((1, 3))], 7, "dc01a7fb50552a8f83352cc4ade773979bbf99965a33eb43aa794ef6eaf486e4"),
-    ("K23", [K23], 7, "1fa86a6e0c013b719938291d8edc1c77eea0bf55084f6738477311a0bcff0d55"),
-    ("2K2", [graph_from_edges(4, [(0, 1), (2, 3)])], 7, "f0eb3c60002dfa1f7c43383e30832b77ca7a9f375889db6f85d51d78bd27edb4"),
+    ("K3", [K3], 8, "62694e1a6ac62c20f4508ccea47cc2f9840b2c6d6a895a918e22f00f103643f6"),
+    ("K4", [K4], 7, "7378a16552fb7dca632a6be10377121e6f9f105577cf77e2737692758341e5d6"),
+    ("C4", [cycle_graph(4)], 8, "934af2d81556c3efb39278ad670da085bb25ecf57a7db381b7d0922034ab0c44"),
+    ("C5", [cycle_graph(5)], 7, "27cec878f4558d8c0439b8a5064e9f85fba224c852214d2fa8389cfcd7a1e613"),
+    ("P4", [path_graph(4)], 7, "3efc74cdb5665339cca54ebe1111cc380b966fdc016a6b3a90e3269e029bb0a6"),
+    ("K13", [complete_multipartite((1, 3))], 7, "002dfb59bbd3749e3d5e0c5b3fa2e19e5b99bdd71cf4b59cf47f0d71f9bb23c5"),
+    ("K23", [K23], 7, "d57ad4ab40f446859707bd986e2f650045693ef5d14037cca499384e6fd73d22"),
+    ("2K2", [graph_from_edges(4, [(0, 1), (2, 3)])], 7, "7996391f515f167bfbfe3f8714970b34e27ba55ddb2f1bfe474250db415c718a"),
     ("K2+iso", [graph_from_edges(3, [(0, 1)])], 7, "b836252f6d0e652769d4606cf2d2396c03cf044310b9312171748aecb15f76a4"),
-    ("C4,C5", [cycle_graph(4), cycle_graph(5)], 7, "8a1d4d59859d3790f227d5d1295e0f13790443cf560e2f28098eefbbeb750308"),
+    ("C4,C5", [cycle_graph(4), cycle_graph(5)], 7, "c307a611cc1554deb953b712e2d007acbdad515019ba70d6a5eb060fa0ab5d62"),
 ]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_free_classes_match_pinned_digests(workers):
-    """Every level, representative, labeling and order is the unpruned one."""
+    """Every level, representative, labeling and order is pinned: the
+    canonical graphs of the classes, in ascending canonical form."""
     for name, forbidden, top, digest in PINNED_CLASS_LISTS:
         search_mod._CLASS_CACHE.clear()
         levels = free_graph_classes(top, forbidden, workers=workers)
         text = repr([[(g.n, g.adj) for g in lvl] for lvl in levels])
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+def test_free_classes_hold_canonical_graphs():
+    """A class is represented by its canonical graph, whatever parent and
+    mask generated it."""
+    for name, forbidden, top, _ in PINNED_CLASS_LISTS:
+        for lvl in free_graph_classes(top, forbidden):
+            for g in lvl:
+                assert canonical_graph(g) == g, (name, g.adj)
+
+
+def test_free_classes_returns_fresh_level_lists():
+    """A caller's edits to the returned levels do not reach the class cache."""
+    free_graph_classes(5, [K3])[5].clear()
+    assert len(free_graph_classes(5, [K3])[5]) == 14
+    assert extremal_exact(5, complete_graph(2), K3).best == 6
 
 
 def test_extend_one_keeps_one_child_per_brute_orbit():
