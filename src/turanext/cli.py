@@ -188,7 +188,7 @@ def _cmd_count(reader: ParamReader) -> CommandOutput:
     pattern_text = reader.str_("T")
     reader.done()
     try:
-        pattern = counting.Pattern(parse_graph(pattern_text))
+        pattern = counting.as_pattern(parse_graph(pattern_text))
     except ValueError as exc:
         raise ConfigError(f"parameter T={pattern_text!r}: {exc}") from exc
     copies = counting.count_copies(host, pattern)

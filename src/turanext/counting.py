@@ -11,11 +11,14 @@ vertex sees as many placed neighbours as possible) from an optional prefix,
 and for each position the earlier positions adjacent to it.  ``_embed``
 backtracks along a compiled plan, pins the prefix to given host vertices,
 and stops once it has found ``limit`` embeddings.  ``Pattern`` owns the
-plans and compiles each one once, on first use.  The candidates for a
-vertex are the unused host vertices adjacent to the images of all its
-placed neighbours, so every pattern edge is checked when its later endpoint
-is placed; no degree filter is needed for correctness, and on the dense
-hosts where counting is costly it prunes nothing.
+plans and compiles each one once, on first use.  A call that passes a
+graph rather than a ``Pattern`` goes through ``as_pattern``: every call with
+an equal graph shares one ``Pattern`` (the last ``_PATTERN_MEMO`` graphs
+used are kept), so callers never hold Patterns only to save compiling.
+The candidates for a vertex are the unused host vertices adjacent to the
+images of all its placed neighbours, so every pattern edge is checked when
+its later endpoint is placed; no degree filter is needed for correctness,
+and on the dense hosts where counting is costly it prunes nothing.
 
 The last position is counted by popcount inside the loop over the
 second-to-last, not placed.  A plan carries its last position's
@@ -75,7 +78,7 @@ All counts are Python ints and therefore exact at every size we accept.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import groupby
 from math import prod
 from typing import NamedTuple, Sequence
@@ -84,6 +87,8 @@ from .errors import InternalCheckError
 from .graphs import Graph, _automorphism_generators, _bits, _find
 
 PATTERN_CAP = 16
+#: graphs whose compiled Pattern ``as_pattern`` keeps
+_PATTERN_MEMO = 256
 
 
 class Tail(NamedTuple):
@@ -238,7 +243,15 @@ class Pattern:
 
 
 def as_pattern(obj: Graph | Pattern) -> Pattern:
-    return obj if isinstance(obj, Pattern) else Pattern(obj)
+    """``obj`` if it is a Pattern, else the one Pattern that every call with
+    an equal graph shares: Graphs are immutable and compare by value."""
+    return obj if isinstance(obj, Pattern) else _compiled(obj)
+
+
+@lru_cache(maxsize=_PATTERN_MEMO)
+def _compiled(graph: Graph) -> Pattern:
+    # lru_cache keeps no error, so a graph Pattern rejects raises on every call
+    return Pattern(graph)
 
 
 def _plan(t: Graph, prefix: tuple[int, ...] = ()) -> Plan:

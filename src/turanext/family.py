@@ -17,14 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
-from .counting import (
-    Pattern,
-    contains_subgraph,
-    count_cliques,
-    exists_embedding_through_edge,
-)
+from .counting import contains_subgraph, count_cliques, exists_embedding_through_edge
 from .errors import InternalCheckError, SearchCapError
 from .graphs import (
     Graph,
@@ -66,16 +60,10 @@ class DecompositionFamily:
     members: tuple[Graph, ...]
     minimal_members: tuple[Graph, ...]
 
-    @cached_property
-    def minimal_cores(self) -> tuple[Pattern, ...]:
-        """The non-isolated core of each minimal member, as a Pattern whose
-        plans are compiled once for every host."""
-        return tuple(Pattern(strip_isolated(m)) for m in self.minimal_members)
 
-
-def _contains_member(host: Graph, member: Graph, core: Pattern) -> bool:
+def _contains_member(host: Graph, member: Graph) -> bool:
     """Host contains the member under the core-plus-vertex-count convention."""
-    return host.n >= member.n and contains_subgraph(host, core)
+    return host.n >= member.n and contains_subgraph(host, strip_isolated(member))
 
 
 def decomposition_family(h: Graph) -> DecompositionFamily:
@@ -103,24 +91,15 @@ def decomposition_family(h: Graph) -> DecompositionFamily:
                 seen.setdefault(canonical_form(member), member)
     order = sorted(seen, key=lambda form: (seen[form].n, seen[form].edge_count(), form))
     members = tuple(seen[form] for form in order)
-    # one Pattern per core, so its plans are compiled once for every host
-    cores = {id(m): Pattern(strip_isolated(m)) for m in members}
     minimal = tuple(
-        a
-        for a in members
-        if not any(
-            b is not a and _contains_member(a, b, cores[id(b)]) for b in members
-        )
+        a for a in members if not any(b is not a and _contains_member(a, b) for b in members)
     )
     return DecompositionFamily(source=h, r=r, members=members, minimal_members=minimal)
 
 
 def is_family_free(g: Graph, family: DecompositionFamily) -> bool:
     """True iff g contains no member (minimal members suffice by transitivity)."""
-    for member, core in zip(family.minimal_members, family.minimal_cores):
-        if _contains_member(g, member, core):
-            return False
-    return True
+    return not any(_contains_member(g, member) for member in family.minimal_members)
 
 
 @dataclass(frozen=True)
@@ -133,11 +112,12 @@ class BiexResult:
     exhaustive: bool
 
 
-def biex(n: int, h: Graph, family: DecompositionFamily | None = None) -> BiexResult:
+def biex(n: int, h: Graph) -> BiexResult:
     """Maximum edges of an n-vertex graph containing no decomposition-family member.
 
-    Exhaustive search over isomorphism classes; exact within the n <= 10
-    window.  Pass a precomputed ``family`` to skip recomputing it.
+    Exhaustive search over isomorphism classes of graphs free of the minimal
+    members' cores; exact within the n <= 10 window.  The witness is the
+    canonical graph of the largest canonical form with the top edge count.
     """
     from .search import free_graph_classes
 
@@ -145,8 +125,8 @@ def biex(n: int, h: Graph, family: DecompositionFamily | None = None) -> BiexRes
         raise ValueError("need n >= 0")
     if n > _BIEX_CAP:
         raise SearchCapError(f"exact excess search is capped at n = {_BIEX_CAP}")
-    fam = family if family is not None else decomposition_family(h)
-    cores = [c for m, c in zip(fam.minimal_members, fam.minimal_cores) if m.n <= n]
+    fam = decomposition_family(h)
+    cores = [strip_isolated(m) for m in fam.minimal_members if m.n <= n]
     if not cores:
         witness = complete_graph(n)
     else:
@@ -177,7 +157,7 @@ def is_edge_critical(h: Graph) -> bool:
 
 def _greedy_family_free(n: int, fam: DecompositionFamily) -> Graph:
     """Maximal family-free graph grown by scanning edge slots in index order."""
-    cores = [c for m, c in zip(fam.minimal_members, fam.minimal_cores) if m.n <= n]
+    cores = [strip_isolated(m) for m in fam.minimal_members if m.n <= n]
     g = empty_graph(n)
     for u in range(n):
         for v in range(u + 1, n):
@@ -205,27 +185,26 @@ def _greedy_max_cut(g: Graph) -> list[tuple[int, int]]:
     return [(u, v) for u, v in g.edges() if side[u] != side[v]]
 
 
-def lower_bound_construction(n: int, h: Graph | Pattern, m: int) -> tuple[Graph, int]:
+def lower_bound_construction(n: int, h: Graph, m: int) -> tuple[Graph, int]:
     """Turan graph with a family-free bipartite overlay in its largest part.
 
     Builds a dense family-free graph on n vertices, restricts it to the
     ceil(n/r) vertices of largest degree, keeps a greedy max-cut bipartite
     subgraph of that, and overlays those edges on the first part of T_r(n).
     Returns the resulting graph and its m-clique count; the graph is checked
-    to contain no copy of h before returning.  Pass h as a ``Pattern`` to
-    compile its plans once over several calls.
+    to contain no copy of h before returning.  Up to n = 10 the dense graph
+    is ``biex``'s witness, above that a greedy family-free graph.
     """
     if n > _CONSTRUCTION_CAP:
         raise SearchCapError(f"construction is capped at n = {_CONSTRUCTION_CAP}")
-    graph = h.graph if isinstance(h, Pattern) else h
-    fam = decomposition_family(graph)
+    fam = decomposition_family(h)
     r = fam.r
     if not (r + 1 > m >= 2):
         raise ValueError("need chromatic number of h greater than m >= 2")
     if n < r:
         raise ValueError("need n >= r for a spanning multipartite base")
     if n <= _BIEX_CAP:
-        dense = biex(n, graph, family=fam).witness
+        dense = biex(n, h).witness
     else:
         dense = _greedy_family_free(n, fam)
     top = math.ceil(n / r)

@@ -170,28 +170,34 @@ def free_graph_classes(
     pattern, in ascending canonical form.  The representative of a class is
     its canonical graph, decoded from the form.  Results are cached per
     forbidden set and extended on demand; each call gets its own level
-    lists, so a caller's edits do not reach the cache.
+    lists, so a caller's edits do not reach the cache.  Levels with at least
+    4 parents per worker share one pool of ``workers`` processes.
     """
     if n < 0:
         raise ValueError("need n >= 0")
+    if workers < 1:
+        raise ValueError("need workers >= 1")
     pats = [as_pattern(f) for f in forbidden]
     if not pats:
         raise ValueError("need at least one forbidden pattern")
     key = tuple(sorted(canonical_form(p.graph) for p in pats))
     levels = _CLASS_CACHE.setdefault(key, [[empty_graph(0)]])
 
-    while len(levels) <= n:
-        parents = levels[-1]
-        if workers > 1 and len(parents) >= 4 * workers:
-            chunk = -(-len(parents) // (4 * workers))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                batches = list(
-                    pool.map(_extend_one, parents, repeat(pats), chunksize=chunk)
-                )
-        else:
-            batches = [_extend_one(parent, pats) for parent in parents]
-        forms = sorted(set().union(*batches))
-        levels.append([_graph_of_form(form) for form in forms])
+    pool = None
+    try:
+        while len(levels) <= n:
+            parents = levels[-1]
+            if workers > 1 and len(parents) >= 4 * workers:
+                pool = pool or ProcessPoolExecutor(max_workers=workers)
+                chunk = -(-len(parents) // (4 * workers))
+                batches = list(pool.map(_extend_one, parents, repeat(pats), chunksize=chunk))
+            else:
+                batches = [_extend_one(parent, pats) for parent in parents]
+            forms = sorted(set().union(*batches))
+            levels.append([_graph_of_form(form) for form in forms])
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return [list(level) for level in levels[: n + 1]]
 
 

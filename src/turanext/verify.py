@@ -172,9 +172,7 @@ def check_anchored_degree() -> Outcome:
         for s in range(1, 4):
             for t in range(s, 4):
                 p = Params(r, s, t)
-                pattern = counting.Pattern(
-                    graphs.complete_multipartite(p.part_sizes())
-                )
+                pattern = graphs.complete_multipartite(p.part_sizes())
                 for n in range(1, 13):
                     for a in range(n):
                         cases += 1
@@ -418,12 +416,12 @@ def check_family_biex() -> Outcome:
         fails.append("family of the 3-partite (2,2,2) graph is not one 4-cycle")
 
     for n in range(1, 9):
-        value = family.biex(n, k3, family=fam3).value
+        value = family.biex(n, k3).value
         if value != 0:
             fails.append(f"edge-critical excess at n={n} is {value}, want 0")
 
     for n in range(4, 9):
-        ours = family.biex(n, k222, family=fam222).value
+        ours = family.biex(n, k222).value
         independent = _labeled_c4_free_max_edges(n)
         lines.append(f"n={n}: excess {ours}, independent labeled search {independent}")
         if ours != independent:
@@ -439,9 +437,8 @@ def check_family_biex() -> Outcome:
         if sigma < 2:
             fails.append(f"{label}: expected min color class >= 2, got {sigma}")
             continue
-        fam = family.decomposition_family(h)
         for n in range(4, 9):
-            value = family.biex(n, h, family=fam).value
+            value = family.biex(n, h).value
             if value < n - 1:
                 fails.append(f"{label}: excess {value} < n-1 at n={n}")
     lines.append("star lower bound verified on the 3-graph battery for 4 <= n <= 8")
@@ -454,8 +451,7 @@ def check_family_biex() -> Outcome:
 
 def check_construction() -> Outcome:
     fails: list[str] = []
-    # one Pattern, so its plans are compiled once for every n
-    k222 = counting.Pattern(graphs.complete_multipartite((2, 2, 2)))
+    k222 = graphs.complete_multipartite((2, 2, 2))
     for n in range(8, 17):
         g, count = family.lower_bound_construction(n, k222, 2)
         base = closedform.turan_edge_count(n, 2)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import brutes
 from test_graphs import petersen
-from turanext import counting
+from turanext import counting, search
 from turanext.counting import (
     Pattern,
     automorphism_count,
@@ -35,6 +35,7 @@ from turanext.counting import (
     pattern_degree,
 )
 from turanext.errors import InternalCheckError
+from turanext.family import biex, lower_bound_construction
 from turanext.graphs import (
     Graph,
     add_edge,
@@ -43,6 +44,7 @@ from turanext.graphs import (
     cycle_graph,
     empty_graph,
     graph_from_edges,
+    is_isomorphic,
     path_graph,
     relabel,
     turan_graph,
@@ -139,6 +141,10 @@ def test_pattern_validation():
         Pattern(empty_graph(0))
     with pytest.raises(ValueError):
         Pattern(empty_graph(17))
+    # the shared Patterns keep no error: a rejected graph raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="capped"):
+            counting.as_pattern(empty_graph(17))
     assert Pattern(complete_graph(3)).aut_count == 6
 
 
@@ -325,6 +331,35 @@ def test_pattern_compiles_each_plan_once(monkeypatch):
         assert (len(prefixes), len(starts)) == first == (plans, chains)
         assert len(set(prefixes)) == len(prefixes)
         assert len(set(starts)) == len(starts)
+
+
+def test_as_pattern_shares_one_pattern_per_graph():
+    g = cycle_graph(5)
+    pat = counting.as_pattern(g)
+    assert counting.as_pattern(Graph(g.n, g.adj)) is pat
+    assert counting.as_pattern(pat) is pat
+
+
+def test_family_compiles_its_core_once(monkeypatch):
+    """``biex`` for n = 4..8 and the greedy overlay at n = 13 test the one
+    C4 core of the K_{2,2,2} family against many hosts, through plain graphs:
+    its whole-pattern, root and edge plans are each compiled once."""
+    prefixes = []
+    compile_plan = counting._plan
+
+    def counted_plan(t, prefix=()):
+        if is_isomorphic(t, cycle_graph(4)):
+            prefixes.append(prefix)
+        return compile_plan(t, prefix)
+
+    monkeypatch.setattr(counting, "_plan", counted_plan)
+    monkeypatch.setattr(search, "_CLASS_CACHE", {})
+    counting._compiled.cache_clear()
+    k222 = complete_multipartite((2, 2, 2))
+    for n in range(4, 9):
+        biex(n, k222)
+    lower_bound_construction(13, k222, 2)
+    assert len(prefixes) == len(set(prefixes)) == 3
 
 
 def _brute_orbits(auts: list[tuple[int, ...]], prefixes: list[tuple[int, ...]]):

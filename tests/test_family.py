@@ -8,7 +8,7 @@ import pytest
 
 import brutes
 from turanext.closedform import turan_clique_count, turan_edge_count
-from turanext.counting import Pattern, contains_subgraph, count_cliques
+from turanext.counting import contains_subgraph, count_cliques
 from turanext.errors import SearchCapError
 from turanext.family import (
     biex,
@@ -24,6 +24,7 @@ from turanext.graphs import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    graph6_encode,
     graph_from_edges,
     is_isomorphic,
     strip_isolated,
@@ -137,7 +138,7 @@ def test_biex_small_k222_values():
     # ex(n, C4) for n = 1..8
     expected = {1: 0, 2: 1, 3: 3, 4: 4, 5: 6, 6: 7, 7: 9, 8: 11}
     for n, want in expected.items():
-        res = biex(n, K222, family=fam)
+        res = biex(n, K222)
         assert res.value == want, n
         assert res.witness.n == n
         assert res.witness.edge_count() == want
@@ -150,7 +151,7 @@ def test_biex_matches_labeled_brute_on_tiny_hosts():
     cores = [strip_isolated(m) for m in fam.minimal_members]
     for n in range(1, 6):
         want = brutes.max_edges_avoiding_brute(n, cores)
-        assert biex(n, K222, family=fam).value == want
+        assert biex(n, K222).value == want
 
 
 def test_biex_cap():
@@ -188,16 +189,36 @@ def test_is_edge_critical():
 
 def test_lower_bound_construction_battery():
     # n=8 exercises the exact-excess seed, n=13 the greedy fallback
-    pattern = Pattern(K222)
     for n in (8, 13):
         g, count = lower_bound_construction(n, K222, 2)
-        # a compiled pattern, shared across calls, builds the same graph
-        assert lower_bound_construction(n, pattern, 2) == (g, count)
         assert g.n == n
         assert not contains_subgraph(g, K222)
         assert count == count_cliques(g, 2) == g.edge_count()
         assert count >= turan_clique_count(n, 2, 2)
         assert g.edge_count() >= turan_edge_count(n, 2) + 1
+
+
+#: (count, graph6) of the K_{2,2,2} overlay for m = 2, taken at commit 29fc22c:
+#: n <= 10 reads biex's witness, n > 10 the greedy family-free graph
+PINNED_CONSTRUCTIONS = {
+    8: (19, "Gk~vf_"),
+    9: (24, "HkR~vrw"),
+    10: (29, "IkF~vrw}?"),
+    11: (35, "JkEF~z{~Fw?"),
+    12: (41, "KkEF~z{~Fw^_"),
+    13: (48, "LkE?N~}~f{^o~_"),
+    14: (55, "MkE?N~}~f{^o~_~_?"),
+    15: (63, "NkE?KB~~v}^w~o~o^w?"),
+    16: (71, "OkE?KB~~v}^w~o~o^wF}?"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_CONSTRUCTIONS))
+def test_lower_bound_construction_pinned_bytes(n):
+    want_count, want_graph6 = PINNED_CONSTRUCTIONS[n]
+    g, count = lower_bound_construction(n, K222, 2)
+    assert count == g.edge_count() == want_count
+    assert graph6_encode(g) == want_graph6
 
 
 def test_lower_bound_construction_triangle_count():

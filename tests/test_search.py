@@ -115,6 +115,29 @@ def test_free_classes_worker_invariance_generic():
     assert solo == multi
 
 
+def test_free_classes_start_one_pool_per_call(monkeypatch):
+    """From an empty cache the K3 levels 6, 7 and 8 extend 14, 38 and 107
+    parents, each at least 4 per worker, and share one pool."""
+    monkeypatch.setattr(search_mod, "_CLASS_CACHE", {})
+    started = []
+    executor = search_mod.ProcessPoolExecutor
+
+    def counted(*args, **kwargs):
+        started.append(kwargs)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", counted)
+    levels = free_graph_classes(8, [K3], workers=2)
+    assert [len(lvl) for lvl in levels[5:8]] == [14, 38, 107]
+    assert started == [{"max_workers": 2}]
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_free_classes_reject_workers_below_one(workers):
+    with pytest.raises(ValueError, match="workers >= 1"):
+        free_graph_classes(3, [K3], workers=workers)
+
+
 K23 = complete_multipartite((2, 3))
 #: sha256 of repr([[(g.n, g.adj) for g in lvl] for lvl in levels]).  Taken at
 #: commit 9545d95, not from the code under test, as the ``canonical_graph``
