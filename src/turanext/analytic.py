@@ -164,14 +164,19 @@ def step_scale(p: Params, a: int, n: int) -> float:
     """
     if not 1 <= a <= n - 2:
         raise ValueError("need 1 <= a <= n - 2")
+    return math.exp(_log_step_scale(p, a, n))
+
+
+def _log_step_scale(p: Params, a: int, n: int) -> float:
     s, t, r = p.s, p.t, p.r
     e = (r - 2) * s + t
-    log_inv_c = (
-        (r - 1) * math.log(math.factorial(s))
-        + math.log(math.factorial(t))
-        + (e - 1) * math.log(r - 1)
+    return (
+        e * math.log(a)
+        + (s - 2) * math.log(n - a)
+        - (r - 1) * math.log(math.factorial(s))
+        - math.log(math.factorial(t))
+        - (e - 1) * math.log(r - 1)
     )
-    return math.exp(e * math.log(a) + (s - 2) * math.log(n - a) - log_inv_c)
 
 
 def _log_fraction(x: Fraction) -> float:
@@ -181,15 +186,7 @@ def _log_fraction(x: Fraction) -> float:
 def step_ratio_error(p: Params, a: int, n: int) -> float:
     """|step / scale - poly((n-a)/a)|: how close the step is to its asymptote."""
     step = scaled_degree_step(p, a, n)
-    s, t, r = p.s, p.t, p.r
-    e = (r - 2) * s + t
-    log_scale = (
-        e * math.log(a)
-        + (s - 2) * math.log(n - a)
-        - (r - 1) * math.log(math.factorial(s))
-        - math.log(math.factorial(t))
-        - (e - 1) * math.log(r - 1)
-    )
+    log_scale = _log_step_scale(p, a, n)
     if step > 0:
         ratio = math.exp(_log_fraction(step) - log_scale)
     elif step < 0:

@@ -88,13 +88,7 @@ def turan_part_sizes(n: int, r: int) -> Composition:
 
 def turan_edge_count(n: int, r: int) -> int:
     """Edges of the balanced complete r-partite graph on n vertices."""
-    sizes = turan_part_sizes(n, r)
-    total = 0
-    acc = 0
-    for s in sizes:
-        total += acc * s
-        acc += s
-    return total
+    return turan_clique_count(n, r, 2)
 
 
 def _elementary_symmetric(values: list[int], m: int) -> int:

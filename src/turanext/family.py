@@ -10,7 +10,10 @@ which drives the lower-bound construction at the end of this module.
 Containment convention: members are stored with their isolated vertices, but
 a host contains a member iff the member's non-isolated core embeds into the
 host *and* the host has at least as many vertices as the full member.  The
-two readings agree whenever the host has at least |V(H)| vertices.
+two readings agree whenever the host has at least |V(H)| vertices.  So an
+n-vertex host is family-free iff it avoids ``_cores(family, n)``, the
+stripped minimal members on at most n vertices; ``biex``, ``is_family_free``
+and the construction's greedy overlay all test against those cores.
 """
 
 from __future__ import annotations
@@ -18,15 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .counting import contains_subgraph, count_cliques, exists_embedding_through_edge
+from .counting import contains_subgraph, count_cliques
+# unused here, but the benchmark's tracer wraps this name on this module
+from .counting import exists_embedding_through_edge  # noqa: F401
 from .errors import InternalCheckError, SearchCapError
 from .graphs import (
     Graph,
+    _bits,
     add_edge,
     canonical_form,
     chromatic_number,
     complete_graph,
-    empty_graph,
     graph_from_edges,
     proper_partitions,
     strip_isolated,
@@ -46,16 +51,13 @@ def min_color_class_size(h: Graph) -> int:
     if h.n == 0:
         raise ValueError("need at least one vertex")
     k = chromatic_number(h)
-    return min(
-        min(len(c) for c in p.classes) for p in proper_partitions(h, k)
-    )
+    return min(min(c.bit_count() for c in p) for p in proper_partitions(h, k))
 
 
 @dataclass(frozen=True)
 class DecompositionFamily:
     """Bipartite residues of a graph after deleting all but two color classes."""
 
-    source: Graph
     r: int
     members: tuple[Graph, ...]
     minimal_members: tuple[Graph, ...]
@@ -79,11 +81,10 @@ def decomposition_family(h: Graph) -> DecompositionFamily:
         raise ValueError(f"need chromatic number >= 3, got {chi}")
     r = chi - 1
     seen: dict[bytes, Graph] = {}
-    for p in proper_partitions(h, chi):
-        classes = [sorted(c) for c in p.classes]
+    for masks in proper_partitions(h, chi):
         for i in range(chi):
             for j in range(i + 1, chi):
-                member = subgraph(h, sorted(classes[i] + classes[j]))
+                member = subgraph(h, _bits(masks[i] | masks[j]))
                 if member.edge_count() == 0:
                     raise InternalCheckError(
                         "two color classes with no cross edges would merge"
@@ -94,12 +95,18 @@ def decomposition_family(h: Graph) -> DecompositionFamily:
     minimal = tuple(
         a for a in members if not any(b is not a and _contains_member(a, b) for b in members)
     )
-    return DecompositionFamily(source=h, r=r, members=members, minimal_members=minimal)
+    return DecompositionFamily(r=r, members=members, minimal_members=minimal)
+
+
+def _cores(fam: DecompositionFamily, n: int) -> list[Graph]:
+    """An n-vertex host is family-free iff it contains none of these: the
+    minimal members on at most n vertices, stripped of isolated vertices."""
+    return [strip_isolated(m) for m in fam.minimal_members if m.n <= n]
 
 
 def is_family_free(g: Graph, family: DecompositionFamily) -> bool:
     """True iff g contains no member (minimal members suffice by transitivity)."""
-    return not any(_contains_member(g, member) for member in family.minimal_members)
+    return not any(contains_subgraph(g, core) for core in _cores(family, g.n))
 
 
 @dataclass(frozen=True)
@@ -126,7 +133,7 @@ def biex(n: int, h: Graph) -> BiexResult:
     if n > _BIEX_CAP:
         raise SearchCapError(f"exact excess search is capped at n = {_BIEX_CAP}")
     fam = decomposition_family(h)
-    cores = [strip_isolated(m) for m in fam.minimal_members if m.n <= n]
+    cores = _cores(fam, n)
     if not cores:
         witness = complete_graph(n)
     else:
@@ -155,20 +162,6 @@ def is_edge_critical(h: Graph) -> bool:
     return False
 
 
-def _greedy_family_free(n: int, fam: DecompositionFamily) -> Graph:
-    """Maximal family-free graph grown by scanning edge slots in index order."""
-    cores = [strip_isolated(m) for m in fam.minimal_members if m.n <= n]
-    g = empty_graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            cand = add_edge(g, u, v)
-            if not any(
-                exists_embedding_through_edge(cand, u, v, core) for core in cores
-            ):
-                g = cand
-    return g
-
-
 def _greedy_max_cut(g: Graph) -> list[tuple[int, int]]:
     """Cut edges of a greedy bipartition (each vertex joins the side it cuts more)."""
     side = [0] * g.n
@@ -195,6 +188,8 @@ def lower_bound_construction(n: int, h: Graph, m: int) -> tuple[Graph, int]:
     to contain no copy of h before returning.  Up to n = 10 the dense graph
     is ``biex``'s witness, above that a greedy family-free graph.
     """
+    from .search import _grow_free
+
     if n > _CONSTRUCTION_CAP:
         raise SearchCapError(f"construction is capped at n = {_CONSTRUCTION_CAP}")
     fam = decomposition_family(h)
@@ -206,7 +201,8 @@ def lower_bound_construction(n: int, h: Graph, m: int) -> tuple[Graph, int]:
     if n <= _BIEX_CAP:
         dense = biex(n, h).witness
     else:
-        dense = _greedy_family_free(n, fam)
+        slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        dense = _grow_free(n, _cores(fam, n), slots)
     top = math.ceil(n / r)
     chosen = sorted(
         sorted(range(n), key=lambda v: (-dense.degree(v), v))[:top]

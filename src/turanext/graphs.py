@@ -6,7 +6,8 @@ immutable values: every operation returns a new ``Graph``.
 
 Alongside the representation this module provides the generators used
 throughout (Turan graphs, complete multipartite graphs, blowups), exact
-chromatic numbers and proper-partition enumeration at small sizes, a
+chromatic numbers and proper-partition enumeration at small sizes (a
+partition is a tuple of class bitmasks, in the ``adj`` row format), a
 self-contained canonical form for isomorphism testing, and graph6 I/O.
 
 The canonical form is the least leaf certificate of an
@@ -130,48 +131,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
-
-
-class VertexPartition:
-    """Disjoint nonempty vertex classes covering {0, ..., n-1}."""
-
-    __slots__ = ("n", "classes")
-
-    def __init__(self, n: int, classes: Iterable[Iterable[int]]):
-        cls = tuple(frozenset(c) for c in classes)
-        seen = 0
-        for c in cls:
-            if not c:
-                raise ValueError("empty class in partition")
-            mask = 0
-            for v in c:
-                if not 0 <= v < n:
-                    raise ValueError(f"vertex {v} outside range(0, {n})")
-                mask |= 1 << v
-            if mask & seen:
-                raise ValueError("classes are not disjoint")
-            seen |= mask
-        if seen != (1 << n) - 1:
-            raise ValueError("classes do not cover the vertex set")
-        self.n = n
-        self.classes = cls
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(sorted((len(c) for c in self.classes), reverse=True))
-
-    def is_proper_for(self, graph: Graph) -> bool:
-        """True iff every class is an independent set of ``graph``."""
-        for c in self.classes:
-            mask = 0
-            for v in c:
-                mask |= 1 << v
-            if any(graph.adj[v] & mask for v in c):
-                return False
-        return True
-
-    def __repr__(self) -> str:
-        parts = ", ".join(str(sorted(c)) for c in self.classes)
-        return f"VertexPartition({parts})"
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +348,9 @@ def chromatic_number(graph: Graph) -> int:
     )
 
 
-def proper_partitions(graph: Graph, k: int) -> Iterator[VertexPartition]:
-    """All unordered partitions of V into exactly k nonempty independent classes.
+def proper_partitions(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
+    """All unordered partitions of V into exactly k nonempty independent
+    classes, each as a tuple of k class bitmasks.
 
     Each unordered partition is produced exactly once (classes are grown in
     order of their smallest vertex).  If k < chi(graph) the stream is empty.
@@ -401,8 +361,7 @@ def proper_partitions(graph: Graph, k: int) -> Iterator[VertexPartition]:
         )
     if k <= 0:
         return
-    for masks in _partitions(graph, k, list(range(graph.n))):
-        yield VertexPartition(graph.n, [list(_bits(m)) for m in masks])
+    yield from _partitions(graph, k, list(range(graph.n)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Iterator
 
 from .closedform import Composition, Params, multipartite_pattern_count
 from .counting import (
@@ -64,6 +65,7 @@ from .graphs import (
 
 _EXACT_CAP = 8
 _EXACT_CAP_DENSE = 9
+_MULTIPARTITE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -267,13 +269,25 @@ def extremal_exact(
 # exact optimization over complete multipartite hosts
 
 
-def _nondecreasing_compositions(n: int, parts: int, lo: int) -> list[Composition]:
-    if parts == 1:
-        return [(n,)] if n >= lo else []
-    out = []
-    for x in range(lo, n // parts + 1):
-        out.extend((x, *rest) for rest in _nondecreasing_compositions(n - x, parts - 1, x))
-    return out
+def _nondecreasing_compositions(n: int, parts: int) -> Iterator[Composition]:
+    """Nondecreasing compositions of n >= parts >= 1 into ``parts`` parts
+    >= 1, in lexicographic order.  Each step raises the rightmost part that
+    can grow, levels the parts after it up to it, and gives the rest of n to
+    the last part."""
+    comp = [1] * parts
+    comp[-1] = n - parts + 1
+    while True:
+        yield tuple(comp)
+        tail = comp[-1]  # sum of comp[i:] as i moves left
+        for i in range(parts - 2, -1, -1):
+            tail += comp[i]
+            x = comp[i] + 1
+            if x * (parts - i) <= tail:
+                comp[i:-1] = [x] * (parts - 1 - i)
+                comp[-1] = tail - x * (parts - 1 - i)
+                break
+        else:
+            return
 
 
 def extremal_multipartite(n: int, p: Params) -> tuple[Composition, int, bool]:
@@ -282,12 +296,19 @@ def extremal_multipartite(n: int, p: Params) -> tuple[Composition, int, bool]:
     Scans nondecreasing compositions of n into r parts >= 1 (one per host up
     to isomorphism); ties are resolved toward the lexicographically smallest
     composition, and ``unique`` reports whether the argmax was a single host.
+    Raises ``SearchCapError`` once more than ``_MULTIPARTITE_CAP``
+    compositions would be scanned.
     """
     if n < p.r:
         raise ValueError(f"need n >= {p.r} to form {p.r} nonempty parts")
     best = -1
     arg: list[Composition] = []
-    for comp in _nondecreasing_compositions(n, p.r, 1):
+    for scanned, comp in enumerate(_nondecreasing_compositions(n, p.r)):
+        if scanned == _MULTIPARTITE_CAP:
+            raise SearchCapError(
+                f"more than {_MULTIPARTITE_CAP} nondecreasing compositions of {n} "
+                f"into {p.r} parts"
+            )
         value = multipartite_pattern_count(comp, p)
         if value > best:
             best, arg = value, [comp]
@@ -310,12 +331,7 @@ def _random_multipartite_seed(n: int, h: Pattern, rng: random.Random) -> Graph:
 def _random_free_seed(n: int, h: Pattern, rng: random.Random) -> Graph:
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(slots)
-    g = empty_graph(n)
-    for u, v in slots:
-        cand = _toggle(g, u, v)
-        if not exists_embedding_through_edge(cand, u, v, h):
-            g = cand
-    return g
+    return _grow_free(n, [h], slots)
 
 
 def _toggle(g: Graph, u: int, v: int) -> Graph:
@@ -323,6 +339,20 @@ def _toggle(g: Graph, u: int, v: int) -> Graph:
     rows[u] ^= 1 << v
     rows[v] ^= 1 << u
     return Graph._trusted(g.n, tuple(rows))
+
+
+def _grow_free(n: int, patterns: list[Graph | Pattern], slots: list[tuple[int, int]]) -> Graph:
+    """Add the edges of the distinct vertex pairs ``slots`` in turn to the
+    empty graph, skipping each one that some pattern has a copy through."""
+    g = empty_graph(n)
+    for u, v in slots:
+        cand = _toggle(g, u, v)
+        for p in patterns:
+            if exists_embedding_through_edge(cand, u, v, p):
+                break
+        else:
+            g = cand
+    return g
 
 
 def _climb(

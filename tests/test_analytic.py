@@ -29,6 +29,7 @@ from turanext.analytic import (
     step_ratio_error,
     step_ratio_poly,
     step_ratio_poly_exact,
+    step_scale,
     transfer_identity_check,
 )
 from turanext.closedform import (
@@ -251,6 +252,26 @@ def test_degree_step_matches_raw_difference():
         scaled_degree_step(p, 0, 8)
     with pytest.raises(ValueError):
         scaled_degree_step(p, 7, 8)
+
+
+@pytest.mark.parametrize(
+    "p,a,n",
+    [
+        (Params(2, 1, 1), 3, 10),
+        (Params(2, 1, 3), 5, 40),
+        (Params(3, 2, 3), 7, 30),
+        (Params(4, 3, 5), 20, 90),
+        (Params(3, 1, 2), 1, 3),
+    ],
+)
+def test_step_scale_matches_exact_product(p, a, n):
+    # C * a^{(r-2)s+t} * (n-a)^{s-2} with 1/C = (s!)^{r-1} t! (r-1)^{(r-2)s+t-1}
+    e = (p.r - 2) * p.s + p.t
+    inv_c = math.factorial(p.s) ** (p.r - 1) * math.factorial(p.t) * (p.r - 1) ** (e - 1)
+    want = Fraction(a**e) * Fraction(n - a) ** (p.s - 2) / inv_c
+    assert step_scale(p, a, n) == pytest.approx(float(want), rel=1e-12)
+    with pytest.raises(ValueError):
+        step_scale(p, 0, n)
 
 
 def test_step_ratio_error_shrinks_with_n():

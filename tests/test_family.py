@@ -24,6 +24,7 @@ from turanext.graphs import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    graph6_decode,
     graph6_encode,
     graph_from_edges,
     is_isomorphic,
@@ -79,6 +80,32 @@ def test_family_members_are_bipartite():
         for member in fam.members:
             if member.edge_count():
                 assert chromatic_number(member) == 2
+
+
+#: H (graph6) -> (r, min color class size, [(member graph6, minimal)] in
+#: member order), read at commit 00cb325.  EwC? is K3 + K2 + K1, whose
+#: minimal member carries an isolated vertex.
+PINNED_FAMILIES = {
+    "FhCKG": (2, 1, [("CC", True), ("DgC", False), ("Dh?", False), ("EhCG", False)]),
+    "E|fG": (3, 1, [("A_", True), ("BO", False), ("Bo", False), ("Ch", False)]),
+    "Dvw": (2, 1, [("Bo", True), ("C]", False)]),
+    "HFzf~z{": (2, 3, [("EFz_", True)]),
+    "G]~v~w": (3, 2, [("C]", True)]),
+    "I]KoWZBoo": (2, 2, [("E?r?", True), ("F]KGO", False), ("G]KoWW", False)]),
+    "EwC?": (2, 1, [("B_", True), ("C_", False), ("C`", False), ("D`?", False)]),
+}
+
+
+@pytest.mark.parametrize("h6", sorted(PINNED_FAMILIES))
+def test_family_pinned_members(h6):
+    r, sigma, members = PINNED_FAMILIES[h6]
+    h = graph6_decode(h6)
+    fam = decomposition_family(h)
+    assert fam.r == r
+    assert min_color_class_size(h) == sigma
+    got = [(graph6_encode(m), m in fam.minimal_members) for m in fam.members]
+    assert got == members
+    assert fam.minimal_members == tuple(m for m in fam.members if m in fam.minimal_members)
 
 
 def test_family_rejects_bipartite_source():

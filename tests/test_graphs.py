@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import brutes
 from turanext.graphs import (
     Graph,
-    VertexPartition,
     _automorphism_generators,
+    _bits,
     _graph_of_form,
     _refine,
     add_edge,
@@ -227,19 +227,6 @@ def test_strip_isolated():
 # partitions and coloring
 
 
-def test_vertex_partition_validation():
-    with pytest.raises(ValueError):
-        VertexPartition(3, (frozenset({0, 1}),))  # does not cover
-    with pytest.raises(ValueError):
-        VertexPartition(3, (frozenset({0, 1}), frozenset({1, 2})))  # overlap
-    with pytest.raises(ValueError):
-        VertexPartition(3, (frozenset({0, 1, 2}), frozenset()))  # empty class
-    p = VertexPartition(4, (frozenset({0, 2}), frozenset({1, 3})))
-    assert sorted(p.sizes()) == [2, 2]
-    assert p.is_proper_for(cycle_graph(4))
-    assert not p.is_proper_for(complete_graph(4))
-
-
 @pytest.mark.parametrize("n", range(1, 6))
 def test_chromatic_number_exhaustive_vs_brute(n):
     for g in brutes.all_graphs(n):
@@ -286,18 +273,22 @@ def test_proper_partitions_match_brute(n):
     """Every partition into k independent classes comes exactly once."""
     for g in brutes.all_graphs(n):
         for k in range(1, n + 2):
-            got = [frozenset(p.classes) for p in proper_partitions(g, k)]
+            got = [
+                frozenset(frozenset(_bits(m)) for m in masks)
+                for masks in proper_partitions(g, k)
+            ]
             assert len(got) == len(set(got))
             assert set(got) == brutes.proper_partitions_brute(g, k)
 
 
 def test_proper_partitions_of_five_cycle():
-    parts = list(proper_partitions(cycle_graph(5), 3))
+    c5 = cycle_graph(5)
+    parts = list(proper_partitions(c5, 3))
     # 30 surjective proper 3-colorings / 3! orderings
     assert len(parts) == 5
-    for p in parts:
-        assert p.is_proper_for(cycle_graph(5))
-        assert len(p.classes) == 3
+    for masks in parts:
+        assert len(masks) == 3
+        assert all(c5.adj[v] & m == 0 for m in masks for v in _bits(m))
 
 
 def test_proper_partitions_complete_graph():

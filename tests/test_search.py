@@ -331,6 +331,27 @@ def test_extremal_multipartite_needs_enough_vertices():
         extremal_multipartite(2, Params(3, 1, 1))
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_nondecreasing_compositions_are_the_sorted_brute_set(n):
+    for parts in range(1, n + 1):
+        want = sorted({tuple(sorted(c)) for c in _compositions_brute(n, parts)})
+        assert list(search_mod._nondecreasing_compositions(n, parts)) == want
+
+
+def test_extremal_multipartite_many_parts():
+    # one part per vertex: the scan must not recurse once per part
+    assert extremal_multipartite(1100, Params(1100, 1, 1)) == ((1,) * 1100, 1, True)
+
+
+def test_extremal_multipartite_cap(monkeypatch):
+    monkeypatch.setattr(search_mod, "_MULTIPARTITE_CAP", 100)
+    with pytest.raises(SearchCapError):
+        extremal_multipartite(40, Params(6, 1, 1))  # 1945 compositions
+    # 300 compositions of 60 into 3 parts, the most any verify suite scans
+    monkeypatch.setattr(search_mod, "_MULTIPARTITE_CAP", 300)
+    assert extremal_multipartite(60, Params(3, 1, 1))[0] == (20, 20, 20)
+
+
 # ---------------------------------------------------------------------------
 # local search
 
