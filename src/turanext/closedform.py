@@ -6,11 +6,15 @@ upper bound for graphs with bounded clique number, and the copy counts of
 complete multipartite patterns inside complete multipartite hosts.  These
 are the formula-side mirrors of the search-side results, so the two can
 cross-check each other.
+
+Each count is one pass over the parts that exist: a running recurrence for
+the pointed count, and only the min(n, r) nonempty parts of T_r(n), not r.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -20,21 +24,21 @@ from .errors import InternalCheckError
 Composition = tuple[int, ...]
 
 
+@dataclass(frozen=True)
 class Params:
     """Pattern parameters (r parts: r-1 of size s, one of size t >= s)."""
 
-    __slots__ = ("r", "s", "t")
+    r: int
+    s: int
+    t: int
 
-    def __init__(self, r: int, s: int, t: int):
-        if r < 1:
+    def __post_init__(self) -> None:
+        if self.r < 1:
             raise ValueError("need r >= 1")
-        if s < 1:
+        if self.s < 1:
             raise ValueError("need s >= 1")
-        if t < s:
+        if self.t < self.s:
             raise ValueError("need t >= s")
-        self.r = r
-        self.s = s
-        self.t = t
 
     @property
     def gap(self) -> int:
@@ -52,18 +56,6 @@ class Params:
 
     def part_sizes(self) -> Composition:
         return (self.s,) * (self.r - 1) + (self.t,)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Params)
-            and (self.r, self.s, self.t) == (other.r, other.s, other.t)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.s, self.t))
-
-    def __repr__(self) -> str:
-        return f"Params(r={self.r}, s={self.s}, t={self.t})"
 
 
 def multiplicity_for(s: int, t: int, r: int) -> int:
@@ -86,17 +78,22 @@ def turan_part_sizes(n: int, r: int) -> Composition:
     return (q + 1,) * rem + (q,) * (r - rem)
 
 
+def _turan_parts(n: int, r: int) -> Composition:
+    """The min(n, r) nonempty part sizes of T_r(n); for r > n it is K_n."""
+    return (1,) * n if r > n >= 0 else turan_part_sizes(n, r)
+
+
 def turan_edge_count(n: int, r: int) -> int:
     """Edges of the balanced complete r-partite graph on n vertices."""
     return turan_clique_count(n, r, 2)
 
 
-def _elementary_symmetric(values: list[int], m: int) -> int:
+def _elementary_symmetric(values: Composition, m: int) -> int:
     """e_m of the multiset ``values`` by the standard DP."""
     e = [0] * (m + 1)
     e[0] = 1
     for x in values:
-        for k in range(min(m, len(e) - 1), 0, -1):
+        for k in range(m, 0, -1):
             e[k] += e[k - 1] * x
     return e[m]
 
@@ -105,10 +102,8 @@ def turan_clique_count(n: int, r: int, m: int) -> int:
     """Number of m-cliques in the balanced complete r-partite graph on n vertices."""
     if m < 1:
         raise ValueError("clique size must be >= 1")
-    sizes = [s for s in turan_part_sizes(n, r) if s > 0]
-    if m > len(sizes):
-        return 0
-    return _elementary_symmetric(sizes, m)
+    sizes = _turan_parts(n, r)
+    return _elementary_symmetric(sizes, m) if m <= len(sizes) else 0
 
 
 def turan_min_clique_degree(n: int, r: int, m: int) -> int:
@@ -120,9 +115,7 @@ def turan_min_clique_degree(n: int, r: int, m: int) -> int:
     """
     if not (n >= r + 1 and r >= m and m >= 1):
         raise ValueError("need n >= r + 1 and r >= m >= 1")
-    sizes = list(turan_part_sizes(n, r))
-    rest = sizes[1:]  # drop one largest part (the vertex's own part)
-    return _elementary_symmetric(rest, m - 1)
+    return _elementary_symmetric(turan_part_sizes(n, r)[1:], m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +173,19 @@ def pointed_pattern_count(parts: Composition, p: Params) -> int:
 
     This counts the placements of the pattern with the size-t block pinned
     to part i; when s < t it already equals the copy count, when s = t each
-    copy is seen once per part, i.e. r times.
+    copy is seen once per part, i.e. r times.  One pass folds the parts in
+    order: after x_1..x_k, ``prefix`` is prod_j C(x_j, s) and ``total`` is
+    the sum above over those k parts.
     """
     if len(parts) != p.r:
         raise ValueError(f"need exactly {p.r} parts, got {len(parts)}")
     if any(x < 0 for x in parts):
         raise ValueError("part sizes must be >= 0")
-    s_choices = [math.comb(x, p.s) for x in parts]
-    total = 0
-    for i, x in enumerate(parts):
-        term = math.comb(x, p.t)
-        if term == 0:
-            continue
-        for j, c in enumerate(s_choices):
-            if j != i:
-                term *= c
-                if term == 0:
-                    break
-        total += term
+    prefix, total = 1, 0
+    for x in parts:
+        c = math.comb(x, p.s)
+        total = total * c + prefix * math.comb(x, p.t)
+        prefix *= c
     return total
 
 
@@ -221,9 +209,11 @@ def turan_kst_count(n: int, p: Params) -> int:
     """Copies of the pattern in the balanced complete r'-partite graph on n.
 
     The host always has the pattern's own number of parts (balanced); use
-    ``multipartite_pattern_count`` directly for other hosts.
+    ``multipartite_pattern_count`` directly for other hosts.  With n < r it
+    has fewer nonempty parts than the pattern's chromatic number r: no copy.
     """
-    return multipartite_pattern_count(turan_part_sizes(n, p.r), p)
+    sizes = _turan_parts(n, p.r)
+    return multipartite_pattern_count(sizes, p) if len(sizes) == p.r else 0
 
 
 def anchored_degree_count(p: Params, a: int, n: int) -> int:

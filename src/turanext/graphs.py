@@ -41,7 +41,7 @@ search stores only forms and decodes each class's representative once.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SearchCapError
 
@@ -174,9 +174,8 @@ def path_graph(n: int) -> Graph:
     return graph_from_edges(n, ((v, v + 1) for v in range(n - 1)))
 
 
-def _blocks_graph(sizes: Iterable[int]) -> Graph:
+def _blocks_graph(sizes: Sequence[int]) -> Graph:
     """Complete multipartite graph with parts laid out as contiguous blocks."""
-    sizes = [s for s in sizes if s > 0]
     n = sum(sizes)
     if n > MAX_VERTICES:
         raise ValueError(f"total vertex count {n} exceeds {MAX_VERTICES}")
@@ -203,13 +202,13 @@ def turan_graph(n: int, r: int) -> Graph:
 
     Larger parts come first and occupy contiguous vertex blocks.
     """
-    from .closedform import turan_part_sizes
+    from .closedform import _turan_parts
 
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
-    return _blocks_graph(turan_part_sizes(n, r))
+    return _blocks_graph(_turan_parts(n, r))
 
 
 def anchored_turan_graph(r: int, a: int, n: int) -> Graph:
@@ -218,7 +217,7 @@ def anchored_turan_graph(r: int, a: int, n: int) -> Graph:
     The first part {0, ..., n-a-1} holds the distinguished vertex 0; the
     remaining a vertices are split into r-1 parts as evenly as possible.
     """
-    from .closedform import turan_part_sizes
+    from .closedform import _turan_parts
 
     if r < 2:
         raise ValueError("need r >= 2")
@@ -226,7 +225,7 @@ def anchored_turan_graph(r: int, a: int, n: int) -> Graph:
         raise ValueError("need 0 <= a <= n - 1")
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
-    return _blocks_graph([n - a, *turan_part_sizes(a, r - 1)])
+    return _blocks_graph([n - a, *_turan_parts(a, r - 1)])
 
 
 def blowup(graph: Graph, s: int) -> Graph:
@@ -595,29 +594,32 @@ def canonical_form(graph: Graph) -> CanonicalForm:
     return bytes([graph.n]) + _canonical_search(graph.adj, graph.n)[0]
 
 
-def _graph_of_form(form: CanonicalForm) -> Graph:
-    """The graph whose ``canonical_form`` is ``form``: its canonical graph.
+def _triangle_rows(n: int, bits: int, group: int) -> list[int]:
+    """Adjacency rows of the upper triangle packed in ``bits``.
 
-    The first byte is n and the rest is ``_leaf_bytes`` of the best leaf,
-    the upper triangle column by column, MSB first, padded to whole bytes.
-    Read from the last column back, column j is the j lowest bits left, and
-    its bit b is the pair (j - 1 - b, j).
+    The layout of ``_leaf_bytes`` and of graph6: column by column, MSB
+    first, padded with zeros to whole groups of ``group`` bits.  Read from
+    the last column back, column j is the j lowest bits left, and its bit b
+    is the pair (j - 1 - b, j).
     """
-    n = form[0]
     rows = [0] * n
-    if n > 1:
-        width = n * (n - 1) // 2
-        bits = int.from_bytes(form[1:], "big") >> (-width % 8)
-        for j in range(n - 1, 0, -1):
-            col = bits & ((1 << j) - 1)
-            bits >>= j
-            while col:
-                low = col & -col
-                i = j - low.bit_length()
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-                col ^= low
-    return Graph._trusted(n, tuple(rows))
+    bits >>= -(n * (n - 1) // 2) % group
+    for j in range(n - 1, 0, -1):
+        col = bits & ((1 << j) - 1)
+        bits >>= j
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            col ^= low
+    return rows
+
+
+def _graph_of_form(form: CanonicalForm) -> Graph:
+    """The canonical graph whose form (n, then ``_leaf_bytes``) is ``form``."""
+    n = form[0]
+    return Graph._trusted(n, tuple(_triangle_rows(n, int.from_bytes(form[1:], "big"), 8)))
 
 
 def canonical_graph(graph: Graph) -> Graph:
@@ -672,25 +674,14 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 def graph6_encode(graph: Graph) -> str:
     n = graph.n
-    if n <= 62:
-        head = chr(63 + n)
-    else:
-        head = "~" + "".join(
-            chr(63 + ((n >> shift) & 63)) for shift in (12, 6, 0)
-        )
-    bits: list[int] = []
-    for j in range(1, n):
-        row_j = graph.adj[j]
-        for i in range(j):
-            bits.append((row_j >> i) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    body = "".join(
-        chr(63 + (bits[k] << 5 | bits[k + 1] << 4 | bits[k + 2] << 3
-                  | bits[k + 3] << 2 | bits[k + 4] << 1 | bits[k + 5]))
-        for k in range(0, len(bits), 6)
-    )
-    return head + body
+    width = n * (n - 1) // 2
+    groups = -(-width // 6)
+    # the canonical-form bit layout, repacked from whole bytes into 6-bit groups
+    bits = int.from_bytes(_leaf_bytes(graph.adj, list(range(n))), "big")
+    bits = bits >> (-width % 8) << (-width % 6)
+    head = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
+    body = [bits >> 6 * k & 63 for k in reversed(range(groups))]
+    return "".join(chr(63 + v) for v in head + body)
 
 
 def graph6_decode(text: str) -> Graph:
@@ -717,15 +708,10 @@ def graph6_decode(text: str) -> Graph:
         raise ValueError("truncated graph6 bit field")
     if len(body) > need:
         raise ValueError("trailing data after graph6 bit field")
-    rows = [0] * n
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (body[pos // 6] >> (5 - pos % 6)) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
-    return Graph(n, rows)
+    bits = 0
+    for v in body:
+        bits = bits << 6 | v
+    return Graph(n, _triangle_rows(n, bits, 6))
 
 
 def read_edge_list(text: str) -> Graph:

@@ -27,6 +27,18 @@ def embeddings_brute(host: Graph, pattern: Graph) -> int:
     return count
 
 
+def exists_brute(host: Graph, pattern: Graph) -> bool:
+    """Whether some injective map preserves pattern edges: the scan of
+    ``embeddings_brute``, stopped at the first match."""
+    if pattern.n > host.n:
+        return False
+    pedges = pattern.edges()
+    return any(
+        all(host.has_edge(image[u], image[v]) for u, v in pedges)
+        for image in permutations(range(host.n), pattern.n)
+    )
+
+
 def through_vertex_brute(host: Graph, v: int, pattern: Graph) -> int:
     """Count edge-preserving injective maps whose image contains host vertex v."""
     if pattern.n > host.n:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -160,6 +162,94 @@ def test_kst_count_examples():
     assert turan_kst_count(6, Params(3, 1, 1)) == 8
     assert turan_kst_count(3, Params(3, 1, 1)) == 1
     assert turan_kst_count(2, Params(3, 1, 1)) == 0
+
+
+# ---------------------------------------------------------------------------
+# one pass over the parts that exist
+
+
+def _pointed_double_sum(parts, p):
+    """Oracle: sum over parts i of C(x_i, t) times C(x_j, s) for every j != i."""
+    total = 0
+    for i, x in enumerate(parts):
+        term = math.comb(x, p.t)
+        for j, y in enumerate(parts):
+            if j != i:
+                term *= math.comb(y, p.s)
+        total += term
+    return total
+
+
+def _weak_compositions(total, parts):
+    """Every composition of ``total`` into ``parts`` parts >= 0."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _weak_compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_pointed_recurrence_matches_double_sum(r):
+    """Zero parts included: total <= 12, s <= 3, s <= t <= 4."""
+    for s in range(1, 4):
+        for t in range(s, 5):
+            p = Params(r, s, t)
+            for total in range(13):
+                for comp in _weak_compositions(total, r):
+                    want = _pointed_double_sum(comp, p)
+                    assert pointed_pattern_count(comp, p) == want, (comp, s, t)
+                    if s == t:
+                        want //= r
+                    assert multipartite_pattern_count(comp, p) == want, (comp, s, t)
+
+
+def test_pointed_count_is_linear_in_parts():
+    # one vertex per part: the double sum would take r^2 steps
+    p = Params(30_000, 1, 1)
+    assert pointed_pattern_count((1,) * 30_000, p) == 30_000
+    assert multipartite_pattern_count((1,) * 30_000, p) == 1
+
+
+WIDE = 10**7
+
+
+@pytest.mark.parametrize(
+    "compute, want",
+    [
+        (lambda: turan_clique_count(5, WIDE, 2), 10),
+        (lambda: turan_edge_count(5, WIDE), 10),
+        (lambda: turan_kst_count(5, Params(WIDE, 1, 1)), 0),
+        (lambda: anchored_degree_count(Params(WIDE, 1, 1), 3, 5), 0),
+    ],
+    ids=["clique", "edge", "kst", "anchored"],
+)
+def test_turan_quantities_read_only_nonempty_parts(compute, want):
+    """T_r(n) with r > n is K_n: no r-entry tuple of part sizes is built."""
+    tracemalloc.start()
+    try:
+        got = compute()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_kst_count_below_r_vertices_matches_full_parts(r):
+    for s, t in ((1, 1), (1, 2), (2, 3)):
+        p = Params(r, s, t)
+        for n in range(r + 2):
+            full = multipartite_pattern_count(turan_part_sizes(n, r), p)
+            assert turan_kst_count(n, p) == full
+
+
+@pytest.mark.parametrize("r", [1, 3, WIDE])
+def test_kst_count_rejects_negative_n(r):
+    with pytest.raises(ValueError):
+        turan_kst_count(-1, Params(r, 1, 1))
 
 
 def test_anchored_degree_count_values():

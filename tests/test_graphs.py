@@ -131,6 +131,20 @@ def test_generators_reject_large_n_before_allocating(make, n):
     assert peak < 1 << 20
 
 
+def test_turan_builders_skip_empty_parts():
+    """T_r(n) with r > n is K_n: no r-entry tuple of part sizes is built."""
+    tracemalloc.start()
+    try:
+        wide = turan_graph(5, 10**7)
+        anchored = anchored_turan_graph(10**7, 2, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wide == complete_graph(5)
+    assert anchored == complete_multipartite((3, 1, 1))
+    assert peak < 1 << 20
+
+
 def test_basic_accessors():
     g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert g.n == 4
