@@ -629,6 +629,10 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # counts are printed in full: lift the 4300-digit limit on int <-> str
+    # (Python 3.10.7 and later)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return run(argv)
     except ConfigError as exc:

@@ -9,6 +9,7 @@ cross-check each other.
 
 Each count is one pass over the parts that exist: a running recurrence for
 the pointed count, and only the min(n, r) nonempty parts of T_r(n), not r.
+Clique counts of T_r(n) read only its two part sizes.
 """
 
 from __future__ import annotations
@@ -88,22 +89,34 @@ def turan_edge_count(n: int, r: int) -> int:
     return turan_clique_count(n, r, 2)
 
 
-def _elementary_symmetric(values: Composition, m: int) -> int:
-    """e_m of the multiset ``values`` by the standard DP."""
-    e = [0] * (m + 1)
-    e[0] = 1
-    for x in values:
-        for k in range(m, 0, -1):
-            e[k] += e[k - 1] * x
-    return e[m]
+def _two_size_symmetric(q: int, big: int, small: int, m: int) -> int:
+    """e_m of ``big`` parts of size q + 1 and ``small`` parts of size q:
+    sum_k C(big, k) (q+1)^k C(small, m-k) q^(m-k).  Its terms for k in
+    [lo, hi] are positive (q = 0 leaves one), each the last times an exact
+    ratio, so the sum costs O(m) small-factor steps."""
+    lo, hi = max(0, m - small), min(big, m)
+    if lo > hi:  # m > big + small
+        return 0
+    term = math.comb(big, lo) * (q + 1) ** lo * math.comb(small, m - lo) * q ** (m - lo)
+    total = term
+    for k in range(lo, hi):
+        term, rem = divmod(
+            term * (big - k) * (q + 1) * (m - k), (k + 1) * q * (small - m + k + 1)
+        )
+        if rem:
+            raise InternalCheckError("clique-count term ratio is not exact")
+        total += term
+    return total
 
 
 def turan_clique_count(n: int, r: int, m: int) -> int:
     """Number of m-cliques in the balanced complete r-partite graph on n vertices."""
     if m < 1:
         raise ValueError("clique size must be >= 1")
-    sizes = _turan_parts(n, r)
-    return _elementary_symmetric(sizes, m) if m <= len(sizes) else 0
+    if n < 0 or r < 1:
+        raise ValueError("need n >= 0 and r >= 1")
+    q, rem = divmod(n, r)  # rem parts of q + 1, min(n, r) - rem nonempty of q
+    return _two_size_symmetric(q, rem, min(n, r) - rem, m)
 
 
 def turan_min_clique_degree(n: int, r: int, m: int) -> int:
@@ -115,7 +128,10 @@ def turan_min_clique_degree(n: int, r: int, m: int) -> int:
     """
     if not (n >= r + 1 and r >= m and m >= 1):
         raise ValueError("need n >= r + 1 and r >= m >= 1")
-    return _elementary_symmetric(turan_part_sizes(n, r)[1:], m - 1)
+    q, rem = divmod(n, r)
+    if rem:
+        return _two_size_symmetric(q, rem - 1, r - rem, m - 1)
+    return _two_size_symmetric(q, 0, r - 1, m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +156,21 @@ def eckhoff_decompose(e: int, omega: int) -> EckhoffSplit:
         raise ValueError("edge count must be >= 0")
     if omega < 2:
         raise ValueError("need omega >= 2")
-    n1 = 0
-    while True:
-        extra = e - turan_edge_count(n1, omega)
-        if extra < 0:
-            # The admissible windows tile the nonnegative integers, so
-            # overshooting means the windows were computed wrong.
-            raise InternalCheckError(
-                f"edge decomposition overshot at e={e}, omega={omega}"
-            )
-        if extra * omega < (omega - 1) * n1:
-            return EckhoffSplit(n1, extra)
-        n1 += 1
+    # The windows [T(order), T(order + 1)) tile the nonnegative integers, so
+    # order is the largest n with T(n) <= e; T(n) >= n^2 / 4 puts it below hi.
+    lo, hi = 0, 2 * math.isqrt(e) + 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if turan_edge_count(mid, omega) <= e:
+            lo = mid
+        else:
+            hi = mid
+    extra = e - turan_edge_count(lo, omega)
+    if extra * omega >= (omega - 1) * lo:
+        raise InternalCheckError(
+            f"edge decomposition missed its window at e={e}, omega={omega}"
+        )
+    return EckhoffSplit(lo, extra)
 
 
 def eckhoff_bound(e: int, omega: int, m: int) -> int:

@@ -40,7 +40,7 @@ from .graphs import (
 )
 
 _FAMILY_CAP = 14
-_BIEX_CAP = 10
+_EXACT_SEED_MAX_N = 10
 _CONSTRUCTION_CAP = 40
 
 
@@ -122,16 +122,14 @@ class BiexResult:
 def biex(n: int, h: Graph) -> BiexResult:
     """Maximum edges of an n-vertex graph containing no decomposition-family member.
 
-    Exhaustive search over isomorphism classes of graphs free of the minimal
-    members' cores; exact within the n <= 10 window.  The witness is the
+    Exhaustive search over the classes of graphs free of the minimal members'
+    cores, exact as far as ``free_graph_classes`` reaches.  The witness is the
     canonical graph of the largest canonical form with the top edge count.
     """
     from .search import free_graph_classes
 
     if n < 0:
         raise ValueError("need n >= 0")
-    if n > _BIEX_CAP:
-        raise SearchCapError(f"exact excess search is capped at n = {_BIEX_CAP}")
     fam = decomposition_family(h)
     cores = _cores(fam, n)
     if not cores:
@@ -198,7 +196,7 @@ def lower_bound_construction(n: int, h: Graph, m: int) -> tuple[Graph, int]:
         raise ValueError("need chromatic number of h greater than m >= 2")
     if n < r:
         raise ValueError("need n >= r for a spanning multipartite base")
-    if n <= _BIEX_CAP:
+    if n <= _EXACT_SEED_MAX_N:
         dense = biex(n, h).witness
     else:
         slots = [(u, v) for u in range(n) for v in range(u + 1, n)]

@@ -63,9 +63,8 @@ from .graphs import (
     turan_graph,
 )
 
-_EXACT_CAP = 8
-_EXACT_CAP_DENSE = 9
-_MULTIPARTITE_CAP = 10**6
+_LEVEL_MASK_CAP = 700_000
+_MULTIPARTITE_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,11 @@ def free_graph_classes(
     its canonical graph, decoded from the form.  Results are cached per
     forbidden set and extended on demand; each call gets its own level
     lists, so a caller's edits do not reach the cache.  Levels with at least
-    4 parents per worker share one pool of ``workers`` processes.
+    4 parents per worker share one pool of ``workers`` processes.  This sets
+    every exhaustive caller's reach: level k, whose extension tries
+    ``len(parents) << k`` masks, is refused with ``SearchCapError`` before it
+    is extended when that exceeds ``_LEVEL_MASK_CAP``, so the cache holds only
+    complete levels, and a cached level is never refused.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -189,6 +192,12 @@ def free_graph_classes(
     try:
         while len(levels) <= n:
             parents = levels[-1]
+            masks = len(parents) << (len(levels) - 1)
+            if masks > _LEVEL_MASK_CAP:
+                raise SearchCapError(
+                    f"extending level {len(levels) - 1} would try {masks} "
+                    f"neighbourhood masks, more than {_LEVEL_MASK_CAP}"
+                )
             if workers > 1 and len(parents) >= 4 * workers:
                 pool = pool or ProcessPoolExecutor(max_workers=workers)
                 chunk = -(-len(parents) // (4 * workers))
@@ -212,14 +221,6 @@ def _require_free_hosts(n: int, h: Pattern) -> None:
         )
 
 
-def _exact_cap(h: Pattern) -> int:
-    """Dense forbidden patterns prune hard enough to afford one more level."""
-    g = h.graph
-    if g.n <= 3 and g.edge_count() == g.n * (g.n - 1) // 2:
-        return _EXACT_CAP_DENSE
-    return _EXACT_CAP
-
-
 def extremal_exact(
     n: int,
     t: Graph | Pattern,
@@ -229,20 +230,13 @@ def extremal_exact(
     """Exhaustive maximum of copies of t over all h-free n-vertex graphs.
 
     Enumerates every isomorphism class of h-free graphs on n vertices and
-    counts exactly.  The witnesses are the level graphs that attain the
-    maximum, so they are canonical graphs, one per class, in ascending
-    canonical form; each is re-checked (h-free, attains the maximum) before
-    returning.
+    counts exactly, as far as ``free_graph_classes`` reaches.  The witnesses
+    are the level graphs that attain the maximum, so they are canonical
+    graphs, one per class, in ascending canonical form; each is re-checked
+    (h-free, attains the maximum) before returning.
     """
     tp, hp = as_pattern(t), as_pattern(h)
     _require_free_hosts(n, hp)
-    cap = _exact_cap(hp)
-    if n > cap:
-        raise SearchCapError(
-            f"exhaustive search is capped at n = {cap} for this forbidden pattern"
-        )
-    if n < 0:
-        raise ValueError("need n >= 0")
     workers = cfg.workers if cfg is not None else 1
     level = free_graph_classes(n, [hp], workers=workers)[n]
     best = -1
@@ -296,18 +290,19 @@ def extremal_multipartite(n: int, p: Params) -> tuple[Composition, int, bool]:
     Scans nondecreasing compositions of n into r parts >= 1 (one per host up
     to isomorphism); ties are resolved toward the lexicographically smallest
     composition, and ``unique`` reports whether the argmax was a single host.
-    Raises ``SearchCapError`` once more than ``_MULTIPARTITE_CAP``
-    compositions would be scanned.
+    Each composition costs O(r), so the scan raises ``SearchCapError`` before
+    the one that would take its part visits, compositions times r, past
+    ``_MULTIPARTITE_CAP``.
     """
     if n < p.r:
         raise ValueError(f"need n >= {p.r} to form {p.r} nonempty parts")
     best = -1
     arg: list[Composition] = []
-    for scanned, comp in enumerate(_nondecreasing_compositions(n, p.r)):
-        if scanned == _MULTIPARTITE_CAP:
+    for scanned, comp in enumerate(_nondecreasing_compositions(n, p.r), 1):
+        if scanned * p.r > _MULTIPARTITE_CAP:
             raise SearchCapError(
-                f"more than {_MULTIPARTITE_CAP} nondecreasing compositions of {n} "
-                f"into {p.r} parts"
+                f"scanning more than {scanned - 1} nondecreasing compositions of {n} "
+                f"into {p.r} parts would visit more than {_MULTIPARTITE_CAP} parts"
             )
         value = multipartite_pattern_count(comp, p)
         if value > best:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import pytest
 from test_counting import deadline
@@ -38,6 +39,15 @@ def test_turan_command(capsys):
     assert comments[0] == "# command: turan"
     assert f"# version: {__version__}" in comments
     assert rows == [{"n": "7", "r": "3", "m": "3", "count": "12", "edges": "16"}]
+
+
+def test_turan_command_prints_counts_of_any_length(capsys):
+    # C(20000, 10000) has 6019 digits, past Python's default 4300-digit limit
+    code, out, _ = run_cli(capsys, "turan", "n=20000", "r=20000", "m=10000")
+    assert code == 0
+    count = parse_csv(out)[1][0]["count"]
+    assert len(count) == 6019
+    assert count == str(math.comb(20000, 10000))
 
 
 def test_classify_command(capsys):

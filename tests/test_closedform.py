@@ -89,6 +89,35 @@ def test_turan_min_clique_degree_vs_counter(r, m):
         assert turan_min_clique_degree(n, r, m) == min(per_vertex)
 
 
+def _elementary_symmetric_dp(values, m):
+    """e_m of the multiset ``values`` by the standard O(len(values) * m) DP."""
+    e = [1] + [0] * m
+    for x in values:
+        for k in range(m, 0, -1):
+            e[k] += e[k - 1] * x
+    return e[m]
+
+
+@pytest.mark.parametrize("n", range(60))
+def test_turan_clique_quantities_match_the_dp(n):
+    """n < 60, 1 <= r < 70, m <= 7: both part sizes, r > n and r | n."""
+    for r in range(1, 70):
+        sizes = [x for x in turan_part_sizes(n, r) if x]
+        for m in range(1, 8):
+            assert turan_clique_count(n, r, m) == _elementary_symmetric_dp(sizes, m)
+            if n >= r + 1 and r >= m:
+                want = _elementary_symmetric_dp(turan_part_sizes(n, r)[1:], m - 1)
+                assert turan_min_clique_degree(n, r, m) == want
+
+
+def test_turan_clique_count_reads_two_part_sizes():
+    # one part size: a single term; two sizes: a 200-step ratio chain
+    assert turan_clique_count(40_000, 40_000, 20_000) == math.comb(40_000, 20_000)
+    sizes = turan_part_sizes(600, 400)
+    assert turan_clique_count(600, 400, 200) == _elementary_symmetric_dp(sizes, 200)
+    assert turan_min_clique_degree(600, 400, 200) == _elementary_symmetric_dp(sizes[1:], 199)
+
+
 # ---------------------------------------------------------------------------
 # the edge-count split and the clique bound it feeds
 
@@ -106,6 +135,31 @@ def test_eckhoff_decompose_reconstructs(omega):
         assert turan_edge_count(order, omega) + extra == e
         # the split is the canonical one: extra does not fill the next step
         assert turan_edge_count(order + 1, omega) > e
+
+
+def _eckhoff_walk(e, omega):
+    """The split by walking order up from 0 to the first window holding e."""
+    order = 0
+    while True:
+        extra = e - turan_edge_count(order, omega)
+        if extra * omega < (omega - 1) * order:
+            return order, extra
+        order += 1
+
+
+@pytest.mark.parametrize("omega", range(2, 9))
+def test_eckhoff_decompose_matches_the_walk(omega):
+    for e in range(3000):
+        assert eckhoff_decompose(e, omega) == _eckhoff_walk(e, omega)
+
+
+@pytest.mark.parametrize("omega", [2, 3, 7, 10**6])
+def test_eckhoff_decompose_bisects_huge_edge_counts(omega):
+    e = 10**30
+    order, extra = eckhoff_decompose(e, omega)
+    assert turan_edge_count(order, omega) + extra == e
+    assert 0 <= extra and extra * omega < (omega - 1) * order
+    assert turan_edge_count(order + 1, omega) > e
 
 
 def test_eckhoff_bound_examples_and_edge_identity():

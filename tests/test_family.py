@@ -188,6 +188,12 @@ def test_biex_cap():
         biex(-1, K222)
 
 
+def test_biex_refuses_a_family_by_the_work_of_its_levels():
+    # K_{3,3,3}'s only core is K_{3,3}: level 8 -> 9 would try 8869 << 8 masks
+    with pytest.raises(SearchCapError, match="extending level 8"):
+        biex(9, complete_multipartite((3, 3, 3)))
+
+
 def test_biex_star_lower_bound():
     # graphs whose every family member has two sides of size >= 2 admit stars
     for h in (K222, blowup(C5, 2)):

@@ -169,6 +169,29 @@ def test_free_classes_match_pinned_digests(workers):
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
+def test_level_mask_cap_refuses_a_level_before_extending_it(monkeypatch):
+    """Under a lowered cap each list stops at a level whose parents << k
+    exceeds it, the cache keeps only the complete levels below, a cached
+    level is never refused, and the real cap then extends the cached levels
+    to the pinned lists."""
+    real = search_mod._LEVEL_MASK_CAP
+    monkeypatch.setattr(search_mod, "_CLASS_CACHE", {})
+    for name, forbidden, top, digest in PINNED_CLASS_LISTS:
+        search_mod._CLASS_CACHE.clear()
+        monkeypatch.setattr(search_mod, "_LEVEL_MASK_CAP", 50)
+        with pytest.raises(SearchCapError, match=r"extending level \d+ would try \d+ "):
+            free_graph_classes(top, forbidden)
+        (cached,) = search_mod._CLASS_CACHE.values()
+        k = len(cached) - 1
+        assert k < top and len(cached[k]) << k > 50, name
+        assert all(len(cached[j]) << j <= 50 for j in range(k)), name
+        assert len(free_graph_classes(k, forbidden)) == k + 1
+        monkeypatch.setattr(search_mod, "_LEVEL_MASK_CAP", real)
+        levels = free_graph_classes(top, forbidden)
+        text = repr([[(g.n, g.adj) for g in lvl] for lvl in levels])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
 def test_free_classes_hold_canonical_graphs():
     """A class is represented by its canonical graph, whatever parent and
     mask generated it."""
@@ -275,9 +298,22 @@ def test_extremal_exact_caps():
     with pytest.raises(SearchCapError):
         extremal_exact(9, K3, K4)
     with pytest.raises(SearchCapError):
-        extremal_exact(10, complete_graph(2), K3)  # dense cap is 9
+        extremal_exact(10, complete_graph(2), K3)  # level 9: 1897 << 9 masks
     with pytest.raises(ValueError):
         extremal_exact(-1, K3, K4)
+
+
+def test_extremal_exact_c5_free_at_nine():
+    # ex(n, C5) = floor(n^2 / 4) for n >= 6, attained only by K_{4,5} at n = 9
+    res = extremal_exact(9, complete_graph(2), cycle_graph(5))
+    assert res.best == 20
+    assert res.unique_up_to_iso
+    assert is_isomorphic(res.witnesses[0], complete_multipartite((4, 5)))
+
+
+def test_extremal_exact_c4_free_at_ten():
+    # A006855: ex(10, C4) = 16; level 9 -> 10 tries 1230 << 9 masks
+    assert extremal_exact(10, complete_graph(2), cycle_graph(4)).best == 16
 
 
 def test_extremal_exact_worker_invariance():
@@ -344,12 +380,16 @@ def test_extremal_multipartite_many_parts():
 
 
 def test_extremal_multipartite_cap(monkeypatch):
+    # the cap counts part visits: compositions times r
     monkeypatch.setattr(search_mod, "_MULTIPARTITE_CAP", 100)
     with pytest.raises(SearchCapError):
         extremal_multipartite(40, Params(6, 1, 1))  # 1945 compositions
     # 300 compositions of 60 into 3 parts, the most any verify suite scans
-    monkeypatch.setattr(search_mod, "_MULTIPARTITE_CAP", 300)
+    monkeypatch.setattr(search_mod, "_MULTIPARTITE_CAP", 900)
     assert extremal_multipartite(60, Params(3, 1, 1))[0] == (20, 20, 20)
+    monkeypatch.setattr(search_mod, "_MULTIPARTITE_CAP", 899)
+    with pytest.raises(SearchCapError, match="more than 299 nondecreasing compositions"):
+        extremal_multipartite(60, Params(3, 1, 1))
 
 
 # ---------------------------------------------------------------------------
