@@ -19,10 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, SearchCapError
 
 #: A multipartite shape: part sizes, one entry per part.
 Composition = tuple[int, ...]
+
+_COUNT_BITS_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,14 @@ def _two_size_symmetric(q: int, big: int, small: int, m: int) -> int:
     """e_m of ``big`` parts of size q + 1 and ``small`` parts of size q:
     sum_k C(big, k) (q+1)^k C(small, m-k) q^(m-k).  Its terms for k in
     [lo, hi] are positive (q = 0 leaves one), each the last times an exact
-    ratio, so the sum costs O(m) small-factor steps."""
+    ratio, so the sum costs O(m) small-factor steps.  A nonzero count on N
+    vertices is at most C(N, m) <= min(2^N, N^m), refused past the bit cap."""
     lo, hi = max(0, m - small), min(big, m)
     if lo > hi:  # m > big + small
         return 0
+    n = (q + 1) * big + q * small
+    if min(n, m * n.bit_length()) > _COUNT_BITS_CAP:
+        raise SearchCapError(f"a {m}-clique count on {n} vertices could top {_COUNT_BITS_CAP} bits")
     term = math.comb(big, lo) * (q + 1) ** lo * math.comb(small, m - lo) * q ** (m - lo)
     total = term
     for k in range(lo, hi):

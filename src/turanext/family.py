@@ -18,7 +18,6 @@ and the construction's greedy overlay all test against those cores.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .counting import contains_subgraph, count_cliques
@@ -28,7 +27,6 @@ from .errors import InternalCheckError, SearchCapError
 from .graphs import (
     Graph,
     _bits,
-    add_edge,
     canonical_form,
     chromatic_number,
     complete_graph,
@@ -40,7 +38,6 @@ from .graphs import (
 )
 
 _FAMILY_CAP = 14
-_EXACT_SEED_MAX_N = 10
 _CONSTRUCTION_CAP = 40
 
 
@@ -160,31 +157,17 @@ def is_edge_critical(h: Graph) -> bool:
     return False
 
 
-def _greedy_max_cut(g: Graph) -> list[tuple[int, int]]:
-    """Cut edges of a greedy bipartition (each vertex joins the side it cuts more)."""
-    side = [0] * g.n
-    placed = 0
-    for v in range(g.n):
-        votes = [0, 0]
-        row = g.adj[v] & placed
-        while row:
-            low = row & -row
-            row ^= low
-            votes[side[low.bit_length() - 1]] += 1
-        side[v] = 0 if votes[1] >= votes[0] else 1
-        placed |= 1 << v
-    return [(u, v) for u, v in g.edges() if side[u] != side[v]]
-
-
 def lower_bound_construction(n: int, h: Graph, m: int) -> tuple[Graph, int]:
     """Turan graph with a family-free bipartite overlay in its largest part.
 
-    Builds a dense family-free graph on n vertices, restricts it to the
-    ceil(n/r) vertices of largest degree, keeps a greedy max-cut bipartite
-    subgraph of that, and overlays those edges on the first part of T_r(n).
-    Returns the resulting graph and its m-clique count; the graph is checked
-    to contain no copy of h before returning.  Up to n = 10 the dense graph
-    is ``biex``'s witness, above that a greedy family-free graph.
+    The overlay is grown greedily on part 0's top = ceil(n/r) vertices over
+    the pairs [0, half) x [half, top), half = ceil(top/2), u-major; a pair is
+    kept unless it completes a family core.  Returns the graph and its
+    m-clique count.  The graph has no copy of h, and is rechecked.  A copy
+    meets part 0 only in overlay edges.  Colour the other parts by part and
+    part 0 by overlay side: that properly (r+1)-colours it, every class
+    nonempty as chi(h) = r + 1.  So its two part-0 classes induce a family
+    member inside the overlay, which avoids every core.
     """
     from .search import _grow_free
 
@@ -196,20 +179,11 @@ def lower_bound_construction(n: int, h: Graph, m: int) -> tuple[Graph, int]:
         raise ValueError("need chromatic number of h greater than m >= 2")
     if n < r:
         raise ValueError("need n >= r for a spanning multipartite base")
-    if n <= _EXACT_SEED_MAX_N:
-        dense = biex(n, h).witness
-    else:
-        slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        dense = _grow_free(n, _cores(fam, n), slots)
-    top = math.ceil(n / r)
-    chosen = sorted(
-        sorted(range(n), key=lambda v: (-dense.degree(v), v))[:top]
-    )
-    block = subgraph(dense, chosen)
-    overlay = _greedy_max_cut(block)
-    g = turan_graph(n, r)
-    for u, v in overlay:
-        g = add_edge(g, u, v)
+    top = (n + r - 1) // r
+    half = (top + 1) // 2
+    slots = [(u, v) for u in range(half) for v in range(half, top)]
+    overlay = _grow_free(top, _cores(fam, n), slots)
+    g = graph_from_edges(n, turan_graph(n, r).edges() + overlay.edges())
     if contains_subgraph(g, h):
         raise InternalCheckError("overlay construction produced a forbidden copy")
     return g, count_cliques(g, m)

@@ -114,43 +114,46 @@ def _extend_one(parent: Graph, pats: list[Pattern]) -> list[bytes]:
     The new vertex k joins the parent vertices in ``mask``.  Since the parent
     is free, any forbidden copy in the child runs through k, so the child is
     free if and only if ``mask`` contains none of the parent's critical masks.
+    Freeness is hereditary, so only free masks are built, in ascending order:
+    one with top vertex v is a free mask below v plus v, containing no
+    critical mask through v.
 
     An automorphism of the parent maps its critical masks onto critical
     masks, so an orbit of masks is free or not as a whole, and it maps the
     child of a mask onto the child of the image, which has the same
     canonical form.  Only the least mask of each orbit is kept, so the set
-    of forms is that of every mask.  The masks are walked in ascending
-    order, and the first unseen one marks its orbit through one image table
-    per generator, built in O(1) per mask.  Any set of automorphisms keeps
-    this sound; a generating set prunes every duplicate orbit.
+    of forms is that of every mask: the first unseen free mask marks its
+    orbit by applying every generator bit by bit.  Any set of automorphisms
+    keeps this sound; a generating set prunes every duplicate orbit.
     """
     k = parent.n
     critical = [c for p in pats for c in critical_masks(parent, p)]
-    tables = []
-    for gamma in _automorphism_generators(parent):
-        image = [0] * (1 << k)
-        for m in range(1, 1 << k):
-            low = m & -m
-            image[m] = image[m ^ low] | 1 << gamma[low.bit_length() - 1]
-        tables.append(image)
-    seen = bytearray(1 << k)
+    free = [] if 0 in critical else [0]
+    for v in range(k):
+        b = 1 << v
+        through = [c for c in critical if c & b]
+        free += [m | b for m in free if not any(c & (m | b) == c for c in through)]
+    gens = _automorphism_generators(parent)
+    seen = set()
     out = []
     rows = parent.adj
     bit = 1 << k
-    for mask in range(1 << k):
-        if seen[mask]:
+    for mask in free:
+        if mask in seen:
             continue
-        seen[mask] = 1
+        seen.add(mask)
         stack = [mask]
         while stack:
             m = stack.pop()
-            for image in tables:
-                m2 = image[m]
-                if not seen[m2]:
-                    seen[m2] = 1
+            for gamma in gens:
+                m2, rest = 0, m
+                while rest:
+                    low = rest & -rest
+                    m2 |= 1 << gamma[low.bit_length() - 1]
+                    rest ^= low
+                if m2 not in seen:
+                    seen.add(m2)
                     stack.append(m2)
-        if any(c & mask == c for c in critical):
-            continue
         child = [*rows, mask]
         m = mask
         while m:

@@ -50,6 +50,12 @@ def test_turan_command_prints_counts_of_any_length(capsys):
     assert count == str(math.comb(20000, 10000))
 
 
+def test_turan_command_refuses_counts_past_the_bit_cap(capsys):
+    # C(4 000 000, 2 000 000) would have about 4 million bits
+    code, _, err = run_cli(capsys, "turan", "n=4000000", "r=4000000", "m=2000000")
+    assert code == 3 and "bits" in err
+
+
 def test_classify_command(capsys):
     code, out, _ = run_cli(capsys, "classify", "r=2", "s=1", "t=3")
     assert code == 0
@@ -138,11 +144,12 @@ def test_construct_command(capsys):
     assert row["witness_graph6"] == "G{EQPO"
     witness = graph6_decode(row["witness_graph6"])
     assert canonical_graph(witness) == witness
-    # the overlay is read off that witness, so its bytes are pinned too
+    # the overlay is grown inside part 0 in a fixed pair order, so its bytes
+    # are pinned too
     code, out, _ = run_cli(capsys, "construct", "n=8", "H=K_{2,2,2}", "m=2")
     assert code == 0
     (row,) = parse_csv(out)[1]
-    assert (row["count"], row["edges"], row["graph6"]) == ("19", "19", "Gk~vf_")
+    assert (row["count"], row["edges"], row["graph6"]) == ("19", "19", "G[~vf_")
     g = graph6_decode(row["graph6"])
     assert g.n == 8 and g.edge_count() == 19
 

@@ -27,7 +27,7 @@ from turanext.closedform import (
     turan_part_sizes,
 )
 from turanext.counting import clique_masks, count_cliques, count_copies
-from turanext.errors import InternalCheckError
+from turanext.errors import InternalCheckError, SearchCapError
 from turanext.graphs import complete_multipartite, turan_graph
 
 
@@ -116,6 +116,18 @@ def test_turan_clique_count_reads_two_part_sizes():
     sizes = turan_part_sizes(600, 400)
     assert turan_clique_count(600, 400, 200) == _elementary_symmetric_dp(sizes, 200)
     assert turan_min_clique_degree(600, 400, 200) == _elementary_symmetric_dp(sizes[1:], 199)
+
+
+def test_turan_clique_count_refuses_counts_past_the_bit_cap():
+    """A nonzero count on N vertices is refused when min(N, m * bits(N)) tops
+    2^20 bits, before any big-integer work; zero counts are always answered."""
+    big = 4_000_000
+    with pytest.raises(SearchCapError, match="bits"):
+        turan_clique_count(big, big, big // 2)
+    with pytest.raises(SearchCapError, match="bits"):
+        turan_min_clique_degree(big + 1, big, big // 2)
+    assert turan_clique_count(big, big, 2) == math.comb(big, 2)
+    assert turan_clique_count(big, 1, 2) == 0
 
 
 # ---------------------------------------------------------------------------

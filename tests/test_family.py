@@ -29,7 +29,9 @@ from turanext.graphs import (
     graph_from_edges,
     is_isomorphic,
     strip_isolated,
+    turan_graph,
 )
+from turanext.shorthand import parse_graph
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -221,7 +223,7 @@ def test_is_edge_critical():
 
 
 def test_lower_bound_construction_battery():
-    # n=8 exercises the exact-excess seed, n=13 the greedy fallback
+    # n=8 and n=13 put 4 and 7 vertices in part 0
     for n in (8, 13):
         g, count = lower_bound_construction(n, K222, 2)
         assert g.n == n
@@ -231,18 +233,19 @@ def test_lower_bound_construction_battery():
         assert g.edge_count() >= turan_edge_count(n, 2) + 1
 
 
-#: (count, graph6) of the K_{2,2,2} overlay for m = 2, taken at commit 29fc22c:
-#: n <= 10 reads biex's witness, n > 10 the greedy family-free graph
+#: (count, graph6) of the K_{2,2,2} overlay for m = 2.  The counts were taken
+#: at commit 29fc22c, when the overlay was cut from a dense n-vertex seed; the
+#: graph6 strings are those of the overlay grown inside part 0.
 PINNED_CONSTRUCTIONS = {
-    8: (19, "Gk~vf_"),
-    9: (24, "HkR~vrw"),
-    10: (29, "IkF~vrw}?"),
-    11: (35, "JkEF~z{~Fw?"),
-    12: (41, "KkEF~z{~Fw^_"),
-    13: (48, "LkE?N~}~f{^o~_"),
-    14: (55, "MkE?N~}~f{^o~_~_?"),
-    15: (63, "NkE?KB~~v}^w~o~o^w?"),
-    16: (71, "OkE?KB~~v}^w~o~o^wF}?"),
+    8: (19, "G[~vf_"),
+    9: (24, "HFb~vrw"),
+    10: (29, "IFb~vrw}?"),
+    11: (35, "JFaF~z{~Fw?"),
+    12: (41, "KFaF~z{~Fw^_"),
+    13: (48, "L?}CF~}~f{^o~_"),
+    14: (55, "M?}CF~}~f{^o~_~_?"),
+    15: (63, "N?}CCB~~v}^w~o~o^w?"),
+    16: (71, "O?}CCB~~v}^w~o~o^wF}?"),
 }
 
 
@@ -252,6 +255,64 @@ def test_lower_bound_construction_pinned_bytes(n):
     g, count = lower_bound_construction(n, K222, 2)
     assert count == g.edge_count() == want_count
     assert graph6_encode(g) == want_graph6
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_lower_bound_construction_overlay_is_bipartite_in_part_zero(n):
+    # K_{2,2,2}'s family is {C4}; part 0 of T_2(n) has top = ceil(n/2) vertices
+    g, _ = lower_bound_construction(n, K222, 2)
+    top = (n + 1) // 2
+    half = (top + 1) // 2
+    base = turan_graph(n, 2)
+    extra = [(u, v) for u, v in g.edges() if not base.has_edge(u, v)]
+    assert set(base.edges()) <= set(g.edges())
+    assert all(0 <= u < half <= v < top for u, v in extra)
+    overlay = graph_from_edges(top, extra)
+    assert not brutes.exists_brute(overlay, cycle_graph(4))
+
+
+#: m = 2 construction counts of two forbidden graphs whose exhaustive search
+#: stops before n = 9 (K_{3,3,3}) and n = 10 (K_{2,3,3})
+OVERLAY_COUNTS = {
+    "K_{3,3,3}": (complete_multipartite((3, 3, 3)), [26, 31, 38, 44, 52, 59, 68, 76]),
+    "K_{2,3,3}": (complete_multipartite((2, 3, 3)), [25, 30, 37, 43, 50, 57, 66, 74]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAY_COUNTS))
+def test_lower_bound_construction_counts_past_exhaustive_reach(name):
+    h, want = OVERLAY_COUNTS[name]
+    assert [lower_bound_construction(n, h, 2)[1] for n in range(9, 17)] == want
+
+
+W5 = graph_from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+
+#: m-clique counts of the construction for n = 4..24, taken at commit 33c7c13,
+#: when the overlay was cut by a greedy max cut from the top-degree vertices
+#: of a dense family-free graph on all n vertices (None: that seed's
+#: exhaustive search refused n)
+SEEDED_COUNTS = {
+    ("K_{2,2,2}", 2): [5, 8, 11, 15, 19, 24, 29, 35, 41, 48, 55, 63, 71, 80, 89, 99, 109, 120, 131, 143, 155],
+    ("K_{2,2,3}", 2): [5, 8, 11, 15, 19, 24, 29, 35, 41, 48, 55, 63, 71, 80, 89, 99, 109, 120, 131, 143, 155],
+    ("K_{3,3,3}", 2): [5, 8, 11, 16, 20, None, None, 37, 43, 51, 58, 67, 75, 84, 93, 104, 114, 126, 137, 149, 161],
+    ("K_{2,3,3}", 2): [5, 8, 11, 16, 20, 25, None, 36, 42, 50, 57, 65, 73, 82, 91, 102, 112, 123, 134, 146, 158],
+    ("K_{1,2,2}", 2): [5, 7, 10, 14, 18, 22, 27, 33, 39, 45, 52, 60, 68, 76, 85, 95, 105, 115, 126, 138, 150],
+    ("K_{2,2,2,2}", 2): [6, 9, 13, 18, 23, 29, 36, 43, 51, 60, 69, 79, 90, 101, 113, 126, 139, 153, 168, 183, 199],
+    ("K_{2,2,2,2}", 3): [4, 7, 12, 20, 28, 39, 54, 69, 88, 112, 136, 165, 200, 235, 276, 324, 372, 427, 490, 553, 624],
+    ("C5", 2): [4, 6, 9, 12, 16, 20, 25, 30, 36, 42, 49, 56, 64, 72, 81, 90, 100, 110, 121, 132, 144],
+    ("C5[2]", 2): [5, 8, 11, 15, 19, 24, 29, 35, 41, 48, 55, 63, 71, 80, 89, 99, 109, 120, 131, 143, 155],
+    ("W5", 2): [5, 8, 12, 16, 21, 27, 33, 40, 48, 56, 65, 75, 85, 96, 108, 120, 133, 147, 161, 176, 192],
+    ("W5", 3): [2, 4, 8, 12, 18, 27, 36, 48, 64, 80, 100, 125, 150, 180, 216, 252, 294, 343, 392, 448, 512],
+}
+
+
+@pytest.mark.parametrize("key", sorted(SEEDED_COUNTS), ids=lambda k: f"{k[0]}-m{k[1]}")
+def test_lower_bound_construction_never_below_the_seeded_counts(key):
+    name, m = key
+    h = {"C5[2]": blowup(C5, 2), "W5": W5}.get(name) or parse_graph(name)
+    for n, old in enumerate(SEEDED_COUNTS[key], start=4):
+        count = lower_bound_construction(n, h, m)[1]
+        assert old is None or count >= old, n
 
 
 def test_lower_bound_construction_triangle_count():

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import pytest
 
 import brutes
 from turanext import search as search_mod
 from turanext.closedform import Params, turan_clique_count, turan_edge_count
-from turanext.counting import Pattern, contains_subgraph, count_copies
+from turanext.counting import Pattern, as_pattern, contains_subgraph, count_copies
 from turanext.errors import SearchCapError
 from turanext.graphs import (
     Graph,
@@ -223,6 +224,20 @@ def test_extend_one_keeps_one_child_per_brute_orbit():
                     images = (sum(1 << p[v] for v in range(k) if mask >> v & 1) for p in group)
                     orbits.add(frozenset(images))
             assert len(search_mod._extend_one(parent, pats)) == len(orbits), parent
+
+
+def test_extend_one_holds_only_free_masks():
+    """An edgeless parent has 2^16 masks and a single free one (K2-free), so
+    memory must follow the free masks, not the mask count."""
+    tracemalloc.start()
+    try:
+        forms = search_mod._extend_one(empty_graph(16), [as_pattern(complete_graph(2))])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forms) == 1
+    assert peak < 1 << 20
+    assert extremal_exact(20, complete_graph(1), complete_graph(2)).best == 20
 
 
 def test_free_classes_rejects_empty_forbidden_list():
