@@ -19,10 +19,10 @@ and the construction's greedy overlay all test against those cores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .counting import contains_subgraph, count_cliques
-# unused here, but the benchmark's tracer wraps this name on this module
-from .counting import exists_embedding_through_edge  # noqa: F401
+from . import search
+from .counting import contains_subgraph, count_cliques, exists_embedding_through_edge
 from .errors import InternalCheckError, SearchCapError
 from .graphs import (
     Graph,
@@ -68,6 +68,8 @@ def _contains_member(host: Graph, member: Graph) -> bool:
 def decomposition_family(h: Graph) -> DecompositionFamily:
     """All two-class induced subgraphs over proper (chi)-colorings of h.
 
+    A member is the graph induced on the union of two color classes, so it is
+    read off once per distinct class-pair vertex set, in first-seen order.
     Members keep vertices that end up isolated; deduplication is up to
     isomorphism.  Minimal members are those containing no other member.
     """
@@ -76,23 +78,21 @@ def decomposition_family(h: Graph) -> DecompositionFamily:
     chi = chromatic_number(h)
     if chi < 3:
         raise ValueError(f"need chromatic number >= 3, got {chi}")
-    r = chi - 1
+    pair_sets = dict.fromkeys(
+        a | b for p in proper_partitions(h, chi) for a, b in combinations(p, 2)
+    )
     seen: dict[bytes, Graph] = {}
-    for masks in proper_partitions(h, chi):
-        for i in range(chi):
-            for j in range(i + 1, chi):
-                member = subgraph(h, _bits(masks[i] | masks[j]))
-                if member.edge_count() == 0:
-                    raise InternalCheckError(
-                        "two color classes with no cross edges would merge"
-                    )
-                seen.setdefault(canonical_form(member), member)
+    for mask in pair_sets:
+        member = subgraph(h, _bits(mask))
+        if member.edge_count() == 0:
+            raise InternalCheckError("two color classes with no cross edges would merge")
+        seen.setdefault(canonical_form(member), member)
     order = sorted(seen, key=lambda form: (seen[form].n, seen[form].edge_count(), form))
     members = tuple(seen[form] for form in order)
     minimal = tuple(
         a for a in members if not any(b is not a and _contains_member(a, b) for b in members)
     )
-    return DecompositionFamily(r=r, members=members, minimal_members=minimal)
+    return DecompositionFamily(r=chi - 1, members=members, minimal_members=minimal)
 
 
 def _cores(fam: DecompositionFamily, n: int) -> list[Graph]:
@@ -123,8 +123,6 @@ def biex(n: int, h: Graph) -> BiexResult:
     cores, exact as far as ``free_graph_classes`` reaches.  The witness is the
     canonical graph of the largest canonical form with the top edge count.
     """
-    from .search import free_graph_classes
-
     if n < 0:
         raise ValueError("need n >= 0")
     fam = decomposition_family(h)
@@ -132,11 +130,8 @@ def biex(n: int, h: Graph) -> BiexResult:
     if not cores:
         witness = complete_graph(n)
     else:
-        level = free_graph_classes(n, cores)[n]
-        top = max(g.edge_count() for g in level)
-        # the level holds canonical graphs in ascending canonical form, so this
-        # is the canonical graph of the top count's largest form
-        witness = [g for g in level if g.edge_count() == top][-1]
+        # the level ascends by canonical form and max keeps the first maximum it meets
+        witness = max(reversed(search.free_graph_classes(n, cores)[n]), key=Graph.edge_count)
     if not is_family_free(witness, fam):
         raise InternalCheckError("excess witness fails the family-freeness recheck")
     return BiexResult(n=n, value=witness.edge_count(), witness=witness, exhaustive=True)
@@ -163,14 +158,14 @@ def lower_bound_construction(n: int, h: Graph, m: int) -> tuple[Graph, int]:
     The overlay is grown greedily on part 0's top = ceil(n/r) vertices over
     the pairs [0, half) x [half, top), half = ceil(top/2), u-major; a pair is
     kept unless it completes a family core.  Returns the graph and its
-    m-clique count.  The graph has no copy of h, and is rechecked.  A copy
-    meets part 0 only in overlay edges.  Colour the other parts by part and
-    part 0 by overlay side: that properly (r+1)-colours it, every class
-    nonempty as chi(h) = r + 1.  So its two part-0 classes induce a family
-    member inside the overlay, which avoids every core.
+    m-clique count.  The graph has no copy of h.  A copy meets part 0 only
+    in overlay edges.  Colour the other parts by part and part 0 by overlay
+    side: that properly (r+1)-colours it, every class nonempty as
+    chi(h) = r + 1.  So its two part-0 classes induce a family member inside
+    the overlay, which avoids every core.  The recheck tries copies through
+    the overlay edges alone, and is exact: without them g is the r-colourable
+    T_r(n), so every copy of h, with chi(h) = r + 1, uses an overlay edge.
     """
-    from .search import _grow_free
-
     if n > _CONSTRUCTION_CAP:
         raise SearchCapError(f"construction is capped at n = {_CONSTRUCTION_CAP}")
     fam = decomposition_family(h)
@@ -182,8 +177,8 @@ def lower_bound_construction(n: int, h: Graph, m: int) -> tuple[Graph, int]:
     top = (n + r - 1) // r
     half = (top + 1) // 2
     slots = [(u, v) for u in range(half) for v in range(half, top)]
-    overlay = _grow_free(top, _cores(fam, n), slots)
+    overlay = search._grow_free(top, _cores(fam, n), slots)
     g = graph_from_edges(n, turan_graph(n, r).edges() + overlay.edges())
-    if contains_subgraph(g, h):
+    if any(exists_embedding_through_edge(g, u, v, h) for u, v in overlay.edges()):
         raise InternalCheckError("overlay construction produced a forbidden copy")
     return g, count_cliques(g, m)

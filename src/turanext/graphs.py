@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+from .closedform import _turan_parts
 from .errors import SearchCapError
 
 MAX_VERTICES = 64
@@ -202,8 +203,6 @@ def turan_graph(n: int, r: int) -> Graph:
 
     Larger parts come first and occupy contiguous vertex blocks.
     """
-    from .closedform import _turan_parts
-
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
     if n > MAX_VERTICES:
@@ -217,8 +216,6 @@ def anchored_turan_graph(r: int, a: int, n: int) -> Graph:
     The first part {0, ..., n-a-1} holds the distinguished vertex 0; the
     remaining a vertices are split into r-1 parts as evenly as possible.
     """
-    from .closedform import _turan_parts
-
     if r < 2:
         raise ValueError("need r >= 2")
     if not 0 <= a <= n - 1:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 import brutes
+from turanext import family, search
 from turanext.closedform import turan_clique_count, turan_edge_count
 from turanext.counting import contains_subgraph, count_cliques
-from turanext.errors import SearchCapError
+from turanext.errors import InternalCheckError, SearchCapError
 from turanext.family import (
     biex,
     decomposition_family,
@@ -20,6 +22,7 @@ from turanext.family import (
 )
 from turanext.graphs import (
     blowup,
+    canonical_form,
     chromatic_number,
     complete_graph,
     complete_multipartite,
@@ -108,6 +111,50 @@ def test_family_pinned_members(h6):
     got = [(graph6_encode(m), m in fam.minimal_members) for m in fam.members]
     assert got == members
     assert fam.minimal_members == tuple(m for m in fam.members if m in fam.minimal_members)
+
+
+def test_family_labels_each_class_pair_vertex_set_once(monkeypatch):
+    # K4 + 4 isolated vertices: 4^4 colorings x 6 class pairs, but only
+    # 6 x 2^4 distinct pair sets (two clique vertices and any isolated ones)
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(family, "canonical_form", counted)
+    fam = decomposition_family(graph_from_edges(8, K4.edges()))
+    assert len(calls) == 96
+    assert [graph6_encode(m) for m in fam.members] == ["A_", "B_", "C_", "D_?", "E_??"]
+
+
+def _family_forms_brute(h):
+    """Canonical forms of the graphs induced on two classes of a proper
+    chi-coloring, from every set partition of V(h)."""
+    forms = set()
+    for blocks in brutes.proper_partitions_brute(h, brutes.chromatic_brute(h)):
+        for a, b in combinations(blocks, 2):
+            keep = sorted(a | b)
+            edges = [(i, j) for i, j in combinations(range(len(keep)), 2) if h.has_edge(keep[i], keep[j])]
+            forms.add(brutes.canonical_brute(graph_from_edges(len(keep), edges))[0])
+    return forms
+
+
+def test_family_matches_brute_and_edge_criticality():
+    battery = {}
+    for n in range(3, 6):
+        for g in brutes.all_graphs(n):
+            if brutes.chromatic_brute(g) >= 3:
+                battery.setdefault(brutes.canonical_brute(g)[0], g)
+    extra = [graph_from_edges(k + i, complete_graph(k).edges()) for k in (3, 4) for i in range(6)]
+    extra += [blowup(C5, 2), W5, complete_multipartite((2, 2, 3)), graph6_decode("EwC?")]
+    for g in extra:
+        battery.setdefault(brutes.canonical_brute(g)[0], g)
+    for h in battery.values():
+        fam = decomposition_family(h)
+        assert {brutes.canonical_brute(m)[0] for m in fam.members} == _family_forms_brute(h), graph6_encode(h)
+        # the paper's edge-critical case: K2 lies in the family
+        assert is_edge_critical(h) == any(m.edge_count() == 1 for m in fam.members), graph6_encode(h)
 
 
 def test_family_rejects_bipartite_source():
@@ -322,6 +369,14 @@ def test_lower_bound_construction_triangle_count():
     assert not contains_subgraph(g, h)
     assert count == count_cliques(g, 3)
     assert count >= turan_clique_count(12, 3, 3)
+
+
+def test_lower_bound_construction_recheck_catches_a_forbidden_overlay(monkeypatch):
+    # the complete bipartite overlay on part 0 of T_2(8) is a C4, which closes
+    # a K_{2,2,2} with two vertices of part 1
+    monkeypatch.setattr(search, "_grow_free", lambda top, cores, slots: graph_from_edges(top, slots))
+    with pytest.raises(InternalCheckError):
+        lower_bound_construction(8, K222, 2)
 
 
 def test_lower_bound_construction_validation():
