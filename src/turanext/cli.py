@@ -209,9 +209,7 @@ def _cmd_turan(reader: ParamReader) -> CommandOutput:
     m = reader.int_("m", minimum=1)
     reader.done()
     row = {
-        "n": str(n),
-        "r": str(r),
-        "m": str(m),
+        **reader.resolved,
         "count": str(closedform.turan_clique_count(n, r, m)),
         "edges": str(closedform.turan_edge_count(n, r)),
     }
@@ -226,14 +224,7 @@ def _cmd_f_eval(reader: ParamReader) -> CommandOutput:
     n = reader.int_("n", minimum=1)
     reader.done()
     value = closedform.anchored_degree_count(Params(r, s, t), a, n)
-    row = {
-        "r": str(r),
-        "s": str(s),
-        "t": str(t),
-        "a": str(a),
-        "n": str(n),
-        "value": str(value),
-    }
+    row = {**reader.resolved, "value": str(value)}
     return CommandOutput([row])
 
 
@@ -329,10 +320,7 @@ def _cmd_multipartite(reader: ParamReader) -> CommandOutput:
     reader.done()
     comp, value, unique = search.extremal_multipartite(n, Params(r, s, t))
     row = {
-        "n": str(n),
-        "r": str(r),
-        "s": str(s),
-        "t": str(t),
+        **reader.resolved,
         "composition": "+".join(map(str, comp)),
         "count": str(value),
         "unique": "true" if unique else "false",
@@ -348,9 +336,7 @@ def _cmd_classify(reader: ParamReader) -> CommandOutput:
     p = Params(r, s, t)
     q = p.gap
     row = {
-        "r": str(r),
-        "s": str(s),
-        "t": str(t),
+        **reader.resolved,
         "case": analytic.classify(p).value,
         "discriminant": str(q * q - q),
         "balance_threshold": str(2 * s),

@@ -22,7 +22,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import search
-from .counting import contains_subgraph, count_cliques, exists_embedding_through_edge
+from .counting import (
+    PATTERN_CAP,
+    contains_subgraph,
+    count_cliques,
+    exists_embedding_through_edge,
+)
 from .errors import InternalCheckError, SearchCapError
 from .graphs import (
     Graph,
@@ -37,14 +42,11 @@ from .graphs import (
     turan_graph,
 )
 
-_FAMILY_CAP = 14
 _CONSTRUCTION_CAP = 40
 
 
 def min_color_class_size(h: Graph) -> int:
     """Smallest color-class size achievable in a proper coloring with chi(h) classes."""
-    if h.n > _FAMILY_CAP:
-        raise SearchCapError(f"graphs are capped at {_FAMILY_CAP} vertices here")
     if h.n == 0:
         raise ValueError("need at least one vertex")
     k = chromatic_number(h)
@@ -73,8 +75,8 @@ def decomposition_family(h: Graph) -> DecompositionFamily:
     Members keep vertices that end up isolated; deduplication is up to
     isomorphism.  Minimal members are those containing no other member.
     """
-    if h.n > _FAMILY_CAP:
-        raise SearchCapError(f"graphs are capped at {_FAMILY_CAP} vertices here")
+    if h.n > PATTERN_CAP:
+        raise SearchCapError(f"members are compared as patterns, capped at {PATTERN_CAP} vertices")
     chi = chromatic_number(h)
     if chi < 3:
         raise ValueError(f"need chromatic number >= 3, got {chi}")
@@ -138,18 +140,21 @@ def biex(n: int, h: Graph) -> BiexResult:
 
 
 def is_edge_critical(h: Graph) -> bool:
-    """True iff deleting some single edge lowers the chromatic number."""
-    if h.n > _FAMILY_CAP:
-        raise SearchCapError(f"graphs are capped at {_FAMILY_CAP} vertices here")
-    edges = h.edges()
-    if not edges:
+    """True iff deleting some single edge lowers the chromatic number, that is,
+    iff two classes of some proper chi-colouring span exactly one edge.
+
+    If two classes span only uv, deleting uv lets them merge.  Conversely, in
+    a (chi-1)-colouring of h - uv, u and v share a class C; then C - v and {v}
+    with the other classes properly chi-colour h, and those two span only uv.
+    At chi = 2 the one class pair spans every edge, so the rule still holds.
+    """
+    if not h.edge_count():
         raise ValueError("edge-criticality is undefined for edgeless graphs")
-    chi = chromatic_number(h)
-    for u, v in edges:
-        smaller = graph_from_edges(h.n, [e for e in edges if e != (u, v)])
-        if chromatic_number(smaller) < chi:
-            return True
-    return False
+    return any(
+        sum((h.adj[v] & b).bit_count() for v in _bits(a)) == 1
+        for p in proper_partitions(h, chromatic_number(h))
+        for a, b in combinations(p, 2)
+    )
 
 
 def lower_bound_construction(n: int, h: Graph, m: int) -> tuple[Graph, int]:

@@ -6,9 +6,10 @@ immutable values: every operation returns a new ``Graph``.
 
 Alongside the representation this module provides the generators used
 throughout (Turan graphs, complete multipartite graphs, blowups), exact
-chromatic numbers and proper-partition enumeration at small sizes (a
-partition is a tuple of class bitmasks, in the ``adj`` row format), a
-self-contained canonical form for isomorphism testing, and graph6 I/O.
+chromatic numbers and proper-partition enumeration bounded by the
+placements they make (a partition is a tuple of class bitmasks, in the
+``adj`` row format), a self-contained canonical form for isomorphism
+testing, and graph6 I/O.
 
 The canonical form is the least leaf certificate of an
 individualization-refinement tree, whose leaves are the partitions that
@@ -296,19 +297,24 @@ def strip_isolated(graph: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # coloring
 
-_CHROMATIC_CAP = 20
-_PARTITION_CAP = 16
+_PARTITION_WORK_CAP = 3_000_000
 
 
-def _partitions(graph: Graph, k: int, order: list[int]) -> Iterator[tuple[int, ...]]:
+def _partitions(
+    graph: Graph, k: int, order: list[int], budget: list[int]
+) -> Iterator[tuple[int, ...]]:
     """Class masks of every partition of V into exactly k nonempty independent
     classes.  Vertices are placed in ``order`` and a class opens at its first
-    vertex, so each unordered partition comes once."""
+    vertex, so each unordered partition comes once.  Each placement spends one
+    unit of ``budget[0]``; spending it all raises ``SearchCapError``."""
     n = graph.n
     adj = graph.adj
     masks: list[int] = []
 
     def grow(i: int) -> Iterator[tuple[int, ...]]:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise SearchCapError(f"colouring is capped at {_PARTITION_WORK_CAP} placements")
         if len(masks) + (n - i) < k:
             return
         if i == n:
@@ -331,16 +337,14 @@ def _partitions(graph: Graph, k: int, order: list[int]) -> Iterator[tuple[int, .
 
 
 def chromatic_number(graph: Graph) -> int:
-    """Exact chromatic number (cap at 20 vertices): the least k with a
-    partition into k independent classes, searched in descending-degree order."""
-    if graph.n > _CHROMATIC_CAP:
-        raise SearchCapError(
-            f"chromatic number is exact only up to {_CHROMATIC_CAP} vertices"
-        )
+    """Exact chromatic number: the least k with a partition into k independent
+    classes, searched in descending-degree order on one placement budget."""
     order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
+    budget = [_PARTITION_WORK_CAP]
     # the empty graph's one partition is the empty tuple, so test for None
     return next(
-        k for k in range(graph.n + 1) if next(_partitions(graph, k, order), None) is not None
+        k for k in range(graph.n + 1)
+        if next(_partitions(graph, k, order, budget), None) is not None
     )
 
 
@@ -350,14 +354,11 @@ def proper_partitions(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
 
     Each unordered partition is produced exactly once (classes are grown in
     order of their smallest vertex).  If k < chi(graph) the stream is empty.
+    The whole stream shares one placement budget.
     """
-    if graph.n > _PARTITION_CAP:
-        raise SearchCapError(
-            f"partition enumeration is exact only up to {_PARTITION_CAP} vertices"
-        )
     if k <= 0:
         return
-    yield from _partitions(graph, k, list(range(graph.n)))
+    yield from _partitions(graph, k, list(range(graph.n)), [_PARTITION_WORK_CAP])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 import brutes
-from turanext import family, search
+from turanext import family, graphs, search
 from turanext.closedform import turan_clique_count, turan_edge_count
 from turanext.counting import contains_subgraph, count_cliques
 from turanext.errors import InternalCheckError, SearchCapError
@@ -52,6 +52,7 @@ K222 = complete_multipartite((2, 2, 2))
         (complete_multipartite((3, 3, 3)), 3),
         (blowup(C5, 2), 2),
         (complete_multipartite((1, 2, 2)), 1),
+        (complete_multipartite((5, 5, 5)), 5),
     ],
 )
 def test_min_color_class_size(h, sigma):
@@ -98,6 +99,11 @@ PINNED_FAMILIES = {
     "G]~v~w": (3, 2, [("C]", True)]),
     "I]KoWZBoo": (2, 2, [("E?r?", True), ("F]KGO", False), ("G]KoWW", False)]),
     "EwC?": (2, 1, [("B_", True), ("C_", False), ("C`", False), ("D`?", False)]),
+    # K_{4,4,4,4} and C5[3], on 16 and 15 vertices
+    "O?~vfb~~v}^w~~~~^~f~w": (3, 4, [("G?~vf_", True)]),
+    "NFz_ww[?wF?[wFwF[B_": (
+        2, 3, [("H??FFB_", True), ("IFCO_[MB_", False), ("JFz_wwB?oE?", False), ("KFz_ww[?wF?[", False)],
+    ),
 }
 
 
@@ -140,6 +146,15 @@ def _family_forms_brute(h):
     return forms
 
 
+def _edge_critical_brute(h):
+    """Some single-edge deletion lowers the chromatic number: the definition."""
+    chi = brutes.chromatic_brute(h)
+    return any(
+        brutes.chromatic_brute(graph_from_edges(h.n, [f for f in h.edges() if f != e])) < chi
+        for e in h.edges()
+    )
+
+
 def test_family_matches_brute_and_edge_criticality():
     battery = {}
     for n in range(3, 6):
@@ -155,6 +170,29 @@ def test_family_matches_brute_and_edge_criticality():
         assert {brutes.canonical_brute(m)[0] for m in fam.members} == _family_forms_brute(h), graph6_encode(h)
         # the paper's edge-critical case: K2 lies in the family
         assert is_edge_critical(h) == any(m.edge_count() == 1 for m in fam.members), graph6_encode(h)
+        assert is_edge_critical(h) == _edge_critical_brute(h), graph6_encode(h)
+
+
+def test_family_refuses_more_vertices_than_a_pattern_holds():
+    with pytest.raises(SearchCapError, match="patterns, capped at 16 vertices"):
+        decomposition_family(graph_from_edges(17, K4.edges()))
+
+
+K4_PLUS_SIX = graph_from_edges(10, K4.edges())
+
+
+def test_colouring_budget_bounds_the_family_routines(monkeypatch):
+    # chi(K4 plus six isolated vertices) takes 21 placements, its 4-colourings 5465
+    monkeypatch.setattr(graphs, "_PARTITION_WORK_CAP", 20)
+    for routine in (decomposition_family, min_color_class_size, is_edge_critical):
+        with pytest.raises(SearchCapError, match="20 placements"):
+            routine(K4_PLUS_SIX)
+    monkeypatch.setattr(graphs, "_PARTITION_WORK_CAP", 1000)
+    for routine in (decomposition_family, min_color_class_size):
+        with pytest.raises(SearchCapError, match="1000 placements"):
+            routine(K4_PLUS_SIX)
+    # the first colouring already has a class pair spanning one edge
+    assert is_edge_critical(K4_PLUS_SIX)
 
 
 def test_family_rejects_bipartite_source():
@@ -263,6 +301,16 @@ def test_is_edge_critical():
     assert not is_edge_critical(cycle_graph(4))
     with pytest.raises(ValueError):
         is_edge_critical(complete_graph(1))
+    # one colouring scan answers these 15-vertex graphs
+    assert is_edge_critical(graph_from_edges(15, K4.edges()))
+    assert not is_edge_critical(blowup(C5, 3))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_is_edge_critical_matches_the_definition_on_all_small_graphs(n):
+    for h in brutes.all_graphs(n):
+        if h.edge_count():
+            assert is_edge_critical(h) == _edge_critical_brute(h), graph6_encode(h)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brutes
+from turanext import graphs
+from turanext.errors import SearchCapError
 from turanext.graphs import (
     Graph,
     _automorphism_generators,
@@ -280,6 +282,12 @@ def test_chromatic_number_spot_values():
     assert chromatic_number(mycielskian(cycle_graph(7))) == 4
     assert chromatic_number(kneser(6, 2)) == 4
     assert chromatic_number(complete_multipartite((1,) * 6 + (2,) * 7)) == 13
+    # reach is set by the placements a search makes, not by the vertex count:
+    # the Mycielskian of the Groetzsch graph has 23 vertices and needs 5
+    assert chromatic_number(mycielskian(mycielskian(cycle_graph(5)))) == 5
+    assert chromatic_number(cycle_graph(63)) == 3
+    assert chromatic_number(complete_graph(64)) == 64
+    assert chromatic_number(empty_graph(64)) == 1
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -309,6 +317,30 @@ def test_proper_partitions_complete_graph():
     parts = list(proper_partitions(complete_graph(4), 4))
     assert len(parts) == 1
     assert list(proper_partitions(complete_graph(4), 3)) == []
+
+
+K4_PLUS_SIX = graph_from_edges(10, complete_graph(4).edges())
+
+
+def test_colouring_budget_refuses_a_long_search(monkeypatch):
+    monkeypatch.setattr(graphs, "_PARTITION_WORK_CAP", 20)
+    with pytest.raises(SearchCapError, match="20 placements"):
+        chromatic_number(K4_PLUS_SIX)
+    with pytest.raises(SearchCapError, match="20 placements"):
+        list(proper_partitions(K4_PLUS_SIX, 4))
+
+
+def test_chromatic_number_spends_one_budget_over_all_k(monkeypatch):
+    # each k <= 4 finds or rules out a partition in at most 11 placements,
+    # but the five searches make 21 together
+    monkeypatch.setattr(graphs, "_PARTITION_WORK_CAP", 20)
+    order = sorted(range(10), key=lambda v: (-K4_PLUS_SIX.degree(v), v))
+    for k in range(5):
+        next(graphs._partitions(K4_PLUS_SIX, k, order, [20]), None)
+    with pytest.raises(SearchCapError):
+        chromatic_number(K4_PLUS_SIX)
+    monkeypatch.setattr(graphs, "_PARTITION_WORK_CAP", 21)
+    assert chromatic_number(K4_PLUS_SIX) == 4
 
 
 # ---------------------------------------------------------------------------
