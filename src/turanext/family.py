@@ -43,6 +43,7 @@ from .graphs import (
 )
 
 _CONSTRUCTION_CAP = 40
+_CONSTRUCTION_PATTERN_CAP = 14  # the unbudgeted recheck takes minutes on K_{4,4,4,4}
 
 
 def min_color_class_size(h: Graph) -> int:
@@ -171,8 +172,11 @@ def lower_bound_construction(n: int, h: Graph, m: int) -> tuple[Graph, int]:
     the overlay edges alone, and is exact: without them g is the r-colourable
     T_r(n), so every copy of h, with chi(h) = r + 1, uses an overlay edge.
     """
-    if n > _CONSTRUCTION_CAP:
-        raise SearchCapError(f"construction is capped at n = {_CONSTRUCTION_CAP}")
+    if n > _CONSTRUCTION_CAP or h.n > _CONSTRUCTION_PATTERN_CAP:
+        raise SearchCapError(
+            f"construction is capped at n = {_CONSTRUCTION_CAP} and "
+            f"{_CONSTRUCTION_PATTERN_CAP}-vertex H"
+        )
     fam = decomposition_family(h)
     r = fam.r
     if not (r + 1 > m >= 2):

@@ -297,7 +297,10 @@ def strip_isolated(graph: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # coloring
 
-_PARTITION_WORK_CAP = 3_000_000
+# index order makes a stream's work depend on the labelling; the costliest
+# 14-vertex stream known, K5 plus nine isolated vertices listed isolated first,
+# takes 5 337 639 placements, and K4 plus eleven isolated ones 5 592 409
+_PARTITION_WORK_CAP = 5_500_000
 
 
 def _partitions(

@@ -195,6 +195,14 @@ def test_colouring_budget_bounds_the_family_routines(monkeypatch):
     assert is_edge_critical(K4_PLUS_SIX)
 
 
+def test_family_answers_the_costliest_fourteen_vertex_labelling():
+    # K5 plus nine isolated vertices listed isolated first: its colouring
+    # stream makes 5 337 639 placements, the most of any 14-vertex H known
+    fam = decomposition_family(graph6_decode("M?????????_B?F?F_"))
+    assert [(m.n, m.edge_count()) for m in fam.members] == [(n, 1) for n in range(2, 12)]
+    assert [graph6_encode(m) for m in fam.minimal_members] == ["A_"]
+
+
 def test_family_rejects_bipartite_source():
     with pytest.raises(ValueError):
         decomposition_family(cycle_graph(4))
@@ -430,6 +438,8 @@ def test_lower_bound_construction_recheck_catches_a_forbidden_overlay(monkeypatc
 def test_lower_bound_construction_validation():
     with pytest.raises(SearchCapError):
         lower_bound_construction(50, K222, 2)  # n too large
+    with pytest.raises(SearchCapError, match="14-vertex H"):
+        lower_bound_construction(20, blowup(C5, 3), 2)  # 15-vertex H
     with pytest.raises(ValueError):
         lower_bound_construction(10, K222, 4)  # m > r + 1
     with pytest.raises(ValueError):
